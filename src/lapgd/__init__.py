@@ -62,13 +62,16 @@ from .optimizer import (
     lgd_step,
     nlgd_step,
     run,
+    run_many,
     sample_perturbation,
+    stack_key,
     theoretical_step_bound,
     variance_for_tolerance,
 )
 from .stationarity import (
     AuxCertificate,
     Classification,
+    Measurement,
     StationarityReport,
     aux_hessian,
     aux_second_order_check,
@@ -76,6 +79,8 @@ from .stationarity import (
     default_feas_tol,
     feasibility_residual,
     format_report,
+    judge,
+    measure,
     projected_grad_norm,
     tangent_basis,
     tangent_min_curvature,

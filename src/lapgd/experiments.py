@@ -4,7 +4,8 @@ A scenario bundles a problem instance, its network operator, a feasible
 reference point (the saddle the noiseless method stalls near), and a set
 of labeled run configurations. Batch helpers run every (seed, config)
 pair from a shared per-seed start, measure when each run escapes the
-reference value, and certify the final iterate.
+reference value, and certify the final iterate. Runs that share a
+record schedule advance together in one stack.
 
 Randomness is split deterministically: the scenario seed spawns child
 streams for the graph, the objective parameters and the scenario's own
@@ -33,8 +34,8 @@ from .objectives import (
     portfolio_problem,
     stacked_value,
 )
-from .optimizer import Algorithm, RunConfig, Trace, run
-from .stationarity import StationarityReport, classify
+from .optimizer import Algorithm, RunConfig, Trace, run_many, stack_key
+from .stationarity import Measurement, StationarityReport, default_feas_tol, judge, measure
 
 TRACE_HEADER = "iter,f_value,feas_residual,proj_grad_norm,tangent_curvature,dist_to_ref"
 
@@ -244,48 +245,78 @@ def escape_iteration(trace: Trace, f_ref: float, delta: float) -> int | None:
 def final_report(
     trace: Trace, problem: ProblemInstance, net: NetworkOperator
 ) -> StationarityReport:
+    """Certify the final iterate. Its last record already holds the
+    residuals when it recorded curvature; only otherwise is it measured
+    again."""
     # Self-consistent tolerances: the gradient tolerance is the measured
     # final projected gradient; the curvature tolerance follows from it
     # through the declared Hessian smoothness and the spectral gap.
-    eps = trace.records[-1].proj_grad_norm
+    last = trace.records[-1]
+    eps = last.proj_grad_norm
     _, lip_hess = lipschitz_constants(problem)
     curv_tol = float(np.sqrt(eps * net.lambda_max**1.5 * lip_hess))
     gamma = curv_tol / net.lambda_min_plus
-    return classify(trace.final_theta, problem, net, eps=eps, gamma=gamma)
+    if last.tangent_curvature is None:
+        measured = measure(trace.final_theta, problem, net)
+    else:
+        measured = Measurement(
+            feasibility_residual=last.feas_residual,
+            projected_grad_norm=last.proj_grad_norm,
+            tangent_min_curvature=last.tangent_curvature,
+        )
+    return judge(measured, eps, gamma, default_feas_tol(problem.demand))
 
 
 def run_batch(scenario: Scenario, seeds, configs: dict) -> BatchResult:
-    """Run every (seed, config) pair sequentially in deterministic order:
-    seeds outermost, configs in insertion order. All configs under one
-    seed share the same starting point."""
+    """Run every (seed, config) pair; all configs under one seed share the
+    same starting point.
+
+    Pairs that share a record schedule (``optimizer.stack_key``) advance
+    together in one ``run_many`` stack; each run's trace is the one it
+    gets alone. Results come seeds outermost, configs in insertion order,
+    and a failing run raises its error, the first in that order.
+    """
     seeds = tuple(int(s) for s in seeds)
     if any(s < 0 for s in seeds):
         raise ValueError("batch seeds must be non-negative")
     f_ref = stacked_value(scenario.problem, scenario.theta_ref)
     delta = 1e-4 * (1.0 + abs(f_ref))
 
+    starts = {seed: start_for_seed(scenario, seed) for seed in seeds}
+    pairs = [
+        (seed, label, replace(config, seed=_noise_seed(seed, index)))
+        for seed in seeds
+        for index, (label, config) in enumerate(configs.items())
+    ]
+    stacks = {}
+    for position, (_, _, config) in enumerate(pairs):
+        stacks.setdefault(stack_key(config), []).append(position)
+    outcomes = [None] * len(pairs)
+    for positions in stacks.values():
+        results = run_many(
+            scenario.problem,
+            scenario.net,
+            [starts[pairs[p][0]] for p in positions],
+            [pairs[p][2] for p in positions],
+            theta_ref=scenario.theta_ref,
+        )
+        for position, outcome in zip(positions, results):
+            outcomes[position] = outcome
+
     runs = []
-    for seed in seeds:
-        theta_start = start_for_seed(scenario, seed)
-        for index, (label, config) in enumerate(configs.items()):
-            seeded = replace(config, seed=_noise_seed(seed, index))
-            trace = run(
-                scenario.problem,
-                scenario.net,
-                theta_start,
-                seeded,
-                theta_ref=scenario.theta_ref,
+    for (seed, label, config), trace in zip(pairs, outcomes):
+        if isinstance(trace, Exception):
+            raise trace
+        runs.append(
+            RunResult(
+                seed=seed,
+                label=label,
+                config=config,
+                trace=trace,
+                escape_iteration=escape_iteration(trace, f_ref, delta),
+                final_report=final_report(trace, scenario.problem, scenario.net),
             )
-            runs.append(
-                RunResult(
-                    seed=seed,
-                    label=label,
-                    config=seeded,
-                    trace=trace,
-                    escape_iteration=escape_iteration(trace, f_ref, delta),
-                    final_report=final_report(trace, scenario.problem, scenario.net),
-                )
-            )
+        )
     return BatchResult(
         scenario_name=scenario.name,
         scenario_seed=scenario.seed,

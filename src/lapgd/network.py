@@ -281,29 +281,32 @@ def apply_lifted(mat: np.ndarray, vec: np.ndarray, block_dim: int) -> np.ndarray
 
     For mat of shape (q, m) and vec of length m * block_dim the result
     block i is sum_j mat[i, j] * vec_j, computed as a single (q, m) by
-    (m, block_dim) product in O(q * m * block_dim).
+    (m, block_dim) product in O(q * m * block_dim). A leading run axis on
+    vec is kept, and each run gets the same product it would get alone.
     """
     mat = np.asarray(mat)
     vec = np.asarray(vec)
     if block_dim < 1:
         raise ValueError(f"block_dim must be >= 1, got {block_dim}")
     m = mat.shape[1]
-    if vec.shape != (m * block_dim,):
+    if vec.ndim == 0 or vec.shape[-1] != m * block_dim:
         raise ValueError(
-            f"stacked vector has shape {vec.shape}, expected ({m * block_dim},)"
+            f"stacked vector has shape {vec.shape}, expected (..., {m * block_dim})"
         )
-    return (mat @ vec.reshape(m, block_dim)).reshape(-1)
+    lead = vec.shape[:-1]
+    return (mat @ vec.reshape(lead + (m, block_dim))).reshape(lead + (-1,))
 
 
 def block_sum(vec: np.ndarray, block_dim: int) -> np.ndarray:
-    """Sum of the per-agent blocks of a stacked vector, shape (block_dim,)."""
+    """Sum of the per-agent blocks of a stacked vector, shape (block_dim,),
+    or (..., block_dim) for a leading run axis."""
     vec = np.asarray(vec)
-    if block_dim < 1 or vec.shape[0] % block_dim != 0:
+    if block_dim < 1 or vec.shape[-1] % block_dim != 0:
         raise ValueError(
-            f"vector of length {vec.shape[0]} does not split into blocks "
+            f"vector of length {vec.shape[-1]} does not split into blocks "
             f"of {block_dim}"
         )
-    return vec.reshape(-1, block_dim).sum(axis=0)
+    return vec.reshape(vec.shape[:-1] + (-1, block_dim)).sum(axis=-2)
 
 
 def read_edge_list(path) -> Graph:

@@ -48,10 +48,12 @@ class LocalObjective:
 
 @dataclass(frozen=True)
 class BatchEvaluator:
-    """Vectorized whole-problem evaluation on an (m, n) stacked array.
+    """Vectorized whole-problem evaluation on a (..., m, n) stacked array;
+    leading axes index independent runs.
 
-    ``value`` returns the objective sum, ``grad`` an (m, n) array of
-    local gradients, ``hess`` an (m, n, n) array of Hessian blocks.
+    ``value`` returns the objective sum per run, ``grad`` a (..., m, n)
+    array of local gradients, ``hess`` a (..., m, n, n) array of Hessian
+    blocks.
     """
 
     value: Callable
@@ -108,40 +110,60 @@ class GlobalEval:
 
 
 def _stacked(problem: ProblemInstance, theta: np.ndarray) -> np.ndarray:
+    """View a stacked point, or a (..., m * n) stack of them, as (..., m, n)."""
     theta = np.asarray(theta, dtype=float)
     expected = problem.m * problem.n
-    if theta.shape != (expected,):
+    if theta.ndim == 0 or theta.shape[-1] != expected:
         raise ValueError(
-            f"stacked point has shape {theta.shape}, expected ({expected},)"
+            f"stacked point has shape {theta.shape}, expected (..., {expected})"
         )
-    return theta.reshape(problem.m, problem.n)
+    return theta.reshape(theta.shape[:-1] + (problem.m, problem.n))
 
 
-def stacked_value(problem: ProblemInstance, theta: np.ndarray) -> float:
+def _per_run(fn, blocks: np.ndarray) -> np.ndarray:
+    # Per-agent fallback over a leading run axis, one run at a time.
+    return np.stack([fn(run_blocks) for run_blocks in blocks.reshape((-1,) + blocks.shape[-2:])])
+
+
+def stacked_value(problem: ProblemInstance, theta: np.ndarray):
+    """F at a stacked point (a float), or at each point of a leading run
+    axis (an array)."""
     blocks = _stacked(problem, theta)
     if problem.batch is not None:
-        return float(problem.batch.value(blocks))
-    return float(sum(obj.eval(blocks[i]) for i, obj in enumerate(problem.objectives)))
+        values = problem.batch.value(blocks)
+    else:
+        values = _per_run(
+            lambda b: sum(obj.eval(b[i]) for i, obj in enumerate(problem.objectives)),
+            blocks,
+        ).reshape(blocks.shape[:-2])
+    return float(values) if blocks.ndim == 2 else np.asarray(values, dtype=float)
 
 
 def stacked_gradient(problem: ProblemInstance, theta: np.ndarray) -> np.ndarray:
+    """Stacked gradient, shaped like theta (a leading run axis is kept)."""
     blocks = _stacked(problem, theta)
     if problem.batch is not None:
-        return np.asarray(problem.batch.grad(blocks), dtype=float).reshape(-1)
-    out = np.empty_like(blocks)
-    for i, obj in enumerate(problem.objectives):
-        out[i] = obj.grad(blocks[i])
-    return out.reshape(-1)
+        grad = problem.batch.grad(blocks)
+    else:
+
+        def agents(b):
+            return np.stack([obj.grad(b[i]) for i, obj in enumerate(problem.objectives)])
+
+        grad = _per_run(agents, blocks)
+    return np.asarray(grad, dtype=float).reshape(blocks.shape[:-2] + (-1,))
 
 
 def hessian_blocks(problem: ProblemInstance, theta: np.ndarray) -> np.ndarray:
+    """Per-agent Hessian blocks, shape (..., m, n, n)."""
     blocks = _stacked(problem, theta)
     if problem.batch is not None:
         return np.asarray(problem.batch.hess(blocks), dtype=float)
-    out = np.empty((problem.m, problem.n, problem.n))
-    for i, obj in enumerate(problem.objectives):
-        out[i] = obj.hess(blocks[i])
-    return out
+
+    def agents(b):
+        return np.stack([obj.hess(b[i]) for i, obj in enumerate(problem.objectives)])
+
+    lead = blocks.shape[:-2]
+    return _per_run(agents, blocks).reshape(lead + (problem.m, problem.n, problem.n))
 
 
 def eval_global(problem: ProblemInstance, theta: np.ndarray) -> GlobalEval:
@@ -325,13 +347,16 @@ def quadratic_problem(a_values, demand, c_values=None) -> ProblemInstance:
     col = a[:, None]
 
     def value(blocks):
-        return float((0.5 * col * blocks * blocks + c * blocks).sum())
+        return (0.5 * col * blocks * blocks + c * blocks).sum(axis=(-2, -1))
 
     def grad(blocks):
         return col * blocks + c
 
     def hess(blocks):
-        return a[:, None, None] * np.eye(n)[None, :, :]
+        out = np.zeros(blocks.shape + (n,))
+        idx = np.arange(n)
+        out[..., idx, idx] = col
+        return out
 
     min_sum = float(sum(obj.min_value for obj in objectives))
     return ProblemInstance(
@@ -358,7 +383,7 @@ def smart_grid_problem(a_values, b_values, demand=0.0, agent_dim: int = 1) -> Pr
 
     def value(blocks):
         sq = blocks * blocks
-        return float((ac * sq - bc * np.log1p(sq)).sum())
+        return (ac * sq - bc * np.log1p(sq)).sum(axis=(-2, -1))
 
     def grad(blocks):
         return 2.0 * ac * blocks - 2.0 * bc * blocks / (1.0 + blocks * blocks)
@@ -366,9 +391,9 @@ def smart_grid_problem(a_values, b_values, demand=0.0, agent_dim: int = 1) -> Pr
     def hess(blocks):
         sq = blocks * blocks
         curv = 2.0 * ac - 2.0 * bc * (1.0 - sq) / (1.0 + sq) ** 2
-        out = np.zeros((m, n, n))
+        out = np.zeros(blocks.shape + (n,))
         idx = np.arange(n)
-        out[:, idx, idx] = curv
+        out[..., idx, idx] = curv
         return out
 
     min_sum = float(sum(obj.min_value for obj in objectives))
@@ -400,26 +425,25 @@ def portfolio_problem(mu, cov, risk_weights, log_weights, demand) -> ProblemInst
     )
 
     def value(blocks):
-        risk = np.einsum("ij,ijk,ik->i", blocks, cov, blocks)
-        return float(
-            (-(mu * blocks).sum(axis=1) + rw * risk
-             + lw * np.log1p(blocks * blocks).sum(axis=1)).sum()
-        )
+        risk = np.einsum("...ij,ijk,...ik->...i", blocks, cov, blocks)
+        return (
+            -(mu * blocks).sum(axis=-1) + rw * risk
+            + lw * np.log1p(blocks * blocks).sum(axis=-1)
+        ).sum(axis=-1)
 
     def grad(blocks):
         return (
             -mu
-            + 2.0 * rw[:, None] * np.einsum("ijk,ik->ij", cov, blocks)
+            + 2.0 * rw[:, None] * np.einsum("ijk,...ik->...ij", cov, blocks)
             + 2.0 * lw[:, None] * blocks / (1.0 + blocks * blocks)
         )
 
     def hess(blocks):
         sq = blocks * blocks
         diag = 2.0 * lw[:, None] * (1.0 - sq) / (1.0 + sq) ** 2
-        out = 2.0 * rw[:, None, None] * cov
+        out = np.broadcast_to(2.0 * rw[:, None, None] * cov, blocks.shape + (n,)).copy()
         idx = np.arange(n)
-        out = out.copy()
-        out[:, idx, idx] += diag
+        out[..., idx, idx] += diag
         return out
 
     return ProblemInstance(

@@ -13,6 +13,12 @@ on the auxiliary function psi(x) = F(theta_start + S-lift of x): running
 ``aux_gd`` / ``aux_ngd`` reproduces the lap-weighted theta sequence
 identically, noise streams included. The aux routes exist as genuinely
 separate code paths so the equivalence can be tested rather than assumed.
+
+One engine, ``run_many``, advances a stack of runs that share a problem,
+a network and a record schedule in lockstep: one stacked gradient, one
+stacked lifted apply and one stacked update per step for the whole
+stack. ``run`` is the one-run case, and the single-step functions are
+one-run calls of the same update kernel.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ from .stationarity import tangent_min_curvature
 
 DIVERGENCE_NORM = 1e12
 START_FEAS_RTOL = 1e-10
+
+# Noise is drawn per record stride in chunks of at most this many values
+# across the stack, so the block stays small at any network size.
+NOISE_CHUNK = 1 << 14
 
 
 class Algorithm(str, Enum):
@@ -105,13 +115,15 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(
+                f"step_size must be positive and finite, got {self.step_size}"
+            )
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.noise_variance < 0:
+        if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
             raise ValueError(
-                f"noise_variance must be >= 0, got {self.noise_variance}"
+                f"noise_variance must be >= 0 and finite, got {self.noise_variance}"
             )
         if self.noise_variance > 0 and self.algorithm not in NOISY:
             raise ValueError(
@@ -121,6 +133,10 @@ class RunConfig:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if (self.stop_eps is None) != (self.stop_gamma is None):
             raise ValueError("stop_eps and stop_gamma must be set together")
+        for name in ("stop_eps", "stop_gamma"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
         if self.stop_eps is not None and not self.record_curvature:
             raise ValueError("certification thresholds need record_curvature=True")
         if self.early_exit and self.stop_eps is None:
@@ -170,18 +186,105 @@ def initial_state(theta_start: np.ndarray, with_aux: bool) -> IterateState:
 
 
 def sample_perturbation(
-    m: int, n: int, noise_variance: float, rng: np.random.Generator
+    m: int,
+    n: int,
+    noise_variance: float,
+    rng: np.random.Generator,
+    steps: int | None = None,
 ) -> np.ndarray:
-    """Stacked Gaussian kick with per-coordinate variance noise_variance.
+    """Stacked Gaussian kick with per-coordinate variance noise_variance,
+    or with ``steps`` a (steps, m * n) block of consecutive kicks, equal
+    to that many single draws from the same stream.
 
-    Zero variance returns the zero vector without consuming the stream,
-    so a zero-noise run is bitwise identical to its noiseless twin.
+    Zero variance returns zeros without consuming the stream, so a
+    zero-noise run is bitwise identical to its noiseless twin.
     """
     if noise_variance < 0:
         raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
+    shape = m * n if steps is None else (steps, m * n)
     if noise_variance == 0:
-        return np.zeros(m * n)
-    return math.sqrt(noise_variance) * rng.standard_normal(m * n)
+        return np.zeros(shape)
+    return math.sqrt(noise_variance) * rng.standard_normal(shape)
+
+
+# ---------------------------------------------------------------------------
+# the update kernel
+
+
+def _advance(
+    problem: ProblemInstance,
+    net: NetworkOperator,
+    theta: np.ndarray,
+    aux: np.ndarray | None,
+    anchor: np.ndarray | None,
+    step: np.ndarray,
+    kick: np.ndarray | None,
+    direct: int,
+    noisy: slice,
+) -> tuple:
+    """One step of every run in a stack; returns the new (theta, aux).
+
+    theta, aux and anchor hold one stacked point per row, and step is an
+    (R, 1) column of step sizes. The first ``direct`` rows take the
+    Laplacian-lifted update; the others run the auxiliary recursion and
+    re-derive theta from the anchor. The rows in ``noisy`` take the kicks
+    in ``kick``, one row each, lifted by S on the direct route and
+    unlifted on the auxiliary one. ``aux`` is None when the stack does not
+    carry the auxiliary point.
+    """
+    n = problem.n
+    grad = stacked_gradient(problem, theta)
+    new_theta = np.empty_like(theta)
+    if direct:
+        direction = apply_lifted(net.laplacian, grad[:direct], n)
+        if kick is not None and noisy.start < direct:
+            count = direct - noisy.start
+            direction[noisy.start:] += apply_lifted(net.sqrt_laplacian, kick[:count], n)
+        new_theta[:direct] = theta[:direct] - step[:direct] * direction
+    if aux is None:
+        return new_theta, None
+    aux_direction = apply_lifted(net.sqrt_laplacian, grad, n)
+    if kick is not None:
+        aux_direction[noisy] += kick
+    aux = aux - step * aux_direction
+    if direct < len(theta):
+        new_theta[direct:] = anchor[direct:] + apply_lifted(
+            net.sqrt_laplacian, aux[direct:], n
+        )
+    return new_theta, aux
+
+
+def _single_step(
+    state: IterateState,
+    problem: ProblemInstance,
+    net: NetworkOperator,
+    step_size: float,
+    lifted: bool,
+    noise_variance: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> IterateState:
+    if lifted and (state.aux_x is None or state.anchor is None):
+        raise ValueError("auxiliary step needs a state carrying aux_x and anchor")
+    kick = None
+    if noise_variance > 0:
+        kick = sample_perturbation(problem.m, problem.n, noise_variance, rng)
+    theta, aux = _advance(
+        problem,
+        net,
+        state.theta[None],
+        None if state.aux_x is None else state.aux_x[None],
+        None if state.anchor is None else state.anchor[None],
+        np.array([[step_size]], dtype=float),
+        None if kick is None else kick[None],
+        0 if lifted else 1,
+        slice(0, 1),
+    )
+    return replace(
+        state,
+        theta=theta[0],
+        aux_x=None if aux is None else aux[0],
+        iteration=state.iteration + 1,
+    )
 
 
 def lgd_step(
@@ -192,12 +295,7 @@ def lgd_step(
 ) -> IterateState:
     """One lap-weighted descent step; co-advances the auxiliary point when
     it is tracked."""
-    grad = stacked_gradient(problem, state.theta)
-    theta = state.theta - step_size * apply_lifted(net.laplacian, grad, problem.n)
-    aux = state.aux_x
-    if aux is not None:
-        aux = aux - step_size * apply_lifted(net.sqrt_laplacian, grad, problem.n)
-    return replace(state, theta=theta, aux_x=aux, iteration=state.iteration + 1)
+    return _single_step(state, problem, net, step_size, lifted=False)
 
 
 def nlgd_step(
@@ -210,21 +308,7 @@ def nlgd_step(
 ) -> IterateState:
     """One noisy lap-weighted step: the gradient direction is lifted by
     the Laplacian, the Gaussian kick by its square root."""
-    grad = stacked_gradient(problem, state.theta)
-    direction = apply_lifted(net.laplacian, grad, problem.n)
-    aux_direction = None
-    if state.aux_x is not None:
-        aux_direction = apply_lifted(net.sqrt_laplacian, grad, problem.n)
-    if noise_variance > 0:
-        kick = sample_perturbation(problem.m, problem.n, noise_variance, rng)
-        direction = direction + apply_lifted(net.sqrt_laplacian, kick, problem.n)
-        if aux_direction is not None:
-            aux_direction = aux_direction + kick
-    theta = state.theta - step_size * direction
-    aux = state.aux_x
-    if aux is not None:
-        aux = aux - step_size * aux_direction
-    return replace(state, theta=theta, aux_x=aux, iteration=state.iteration + 1)
+    return _single_step(state, problem, net, step_size, False, noise_variance, rng)
 
 
 def aux_gd_step(
@@ -235,12 +319,7 @@ def aux_gd_step(
 ) -> IterateState:
     """One plain gradient step on the auxiliary function: x moves against
     the S-lifted gradient, theta is re-derived from the anchor."""
-    if state.aux_x is None or state.anchor is None:
-        raise ValueError("auxiliary step needs a state carrying aux_x and anchor")
-    grad = stacked_gradient(problem, state.theta)
-    aux = state.aux_x - step_size * apply_lifted(net.sqrt_laplacian, grad, problem.n)
-    theta = state.anchor + apply_lifted(net.sqrt_laplacian, aux, problem.n)
-    return replace(state, theta=theta, aux_x=aux, iteration=state.iteration + 1)
+    return _single_step(state, problem, net, step_size, lifted=True)
 
 
 def aux_ngd_step(
@@ -253,17 +332,7 @@ def aux_ngd_step(
 ) -> IterateState:
     """Noisy auxiliary step; the kick enters unlifted, matching the noisy
     lap-weighted route through the change of variables."""
-    if state.aux_x is None or state.anchor is None:
-        raise ValueError("auxiliary step needs a state carrying aux_x and anchor")
-    grad = stacked_gradient(problem, state.theta)
-    direction = apply_lifted(net.sqrt_laplacian, grad, problem.n)
-    if noise_variance > 0:
-        direction = direction + sample_perturbation(
-            problem.m, problem.n, noise_variance, rng
-        )
-    aux = state.aux_x - step_size * direction
-    theta = state.anchor + apply_lifted(net.sqrt_laplacian, aux, problem.n)
-    return replace(state, theta=theta, aux_x=aux, iteration=state.iteration + 1)
+    return _single_step(state, problem, net, step_size, True, noise_variance, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -326,44 +395,276 @@ def iteration_budget(
 
 
 # ---------------------------------------------------------------------------
-# the run loop
+# the run engine
 
 
-def _record(
-    state: IterateState,
+def stack_key(config: RunConfig) -> tuple:
+    """Runs whose configs have equal keys share a record schedule and can
+    advance in one ``run_many`` stack."""
+    with_aux = config.algorithm in AUX or config.track_auxiliary
+    return (config.max_iters, config.record_every, with_aux)
+
+
+def _checked_start(
+    problem: ProblemInstance, net: NetworkOperator, theta_start
+) -> np.ndarray:
+    theta = np.array(theta_start, dtype=float)
+    if net.agent_dim != problem.n:
+        raise ValueError(
+            f"network agent_dim {net.agent_dim} != problem dimension {problem.n}"
+        )
+    if theta.shape != (problem.m * problem.n,):
+        raise ValueError(
+            f"start has shape {theta.shape}, expected ({problem.m * problem.n},)"
+        )
+    if not np.isfinite(theta).all():
+        raise ValueError("start has non-finite values")
+    residual = float(np.linalg.norm(block_sum(theta, problem.n) - problem.demand))
+    limit = START_FEAS_RTOL * (1.0 + float(np.linalg.norm(problem.demand)))
+    if residual > limit:
+        raise InfeasibleStartError(
+            f"starting blocks sum to residual {residual:g}, "
+            f"limit {limit:g}; the demand constraint must hold at entry"
+        )
+    return theta
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # One BLAS dot per row: the same value np.linalg.norm gives each row.
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+class _Stack:
+    """The live runs of one ``run_many`` call, in stack order: direct
+    quiet, direct noisy, lifted noisy, lifted quiet. The direct runs, the
+    lifted runs and the noisy runs then each form one contiguous block of
+    rows, and stay so as finished runs leave."""
+
+    def __init__(self, starts, configs, with_aux):
+        lifted = [c.algorithm in AUX for c in configs]
+        noisy = [c.noise_variance > 0 for c in configs]
+        order = sorted(range(len(configs)), key=lambda i: (lifted[i], noisy[i] != lifted[i]))
+        self.ids = np.array(order, dtype=int)
+        self.lifted = np.array(lifted)
+        self.noisy_run = np.array(noisy)
+        self.step_sizes = np.array([c.step_size for c in configs], dtype=float)
+        self.theta = np.stack([starts[i] for i in order])
+        self.aux = np.zeros_like(self.theta) if with_aux else None
+        self.anchor = self.theta.copy() if with_aux else None
+        self.kicks = None
+        self._layout()
+
+    def _layout(self):
+        lifted, noisy = self.lifted[self.ids], self.noisy_run[self.ids]
+        quiet_direct = int(np.count_nonzero(~lifted & ~noisy))
+        self.step = self.step_sizes[self.ids][:, None]
+        self.direct = int(np.count_nonzero(~lifted))
+        self.noisy = slice(quiet_direct, quiet_direct + int(np.count_nonzero(noisy)))
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows where mask is False."""
+        if self.kicks is not None:
+            self.kicks = self.kicks[:, mask[self.noisy]]
+        self.ids = self.ids[mask]
+        self.theta = self.theta[mask]
+        if self.aux is not None:
+            self.aux = self.aux[mask]
+            self.anchor = self.anchor[mask]
+        self._layout()
+        if self.noisy.start == self.noisy.stop:
+            self.kicks = None
+
+    def snapshot(self, pos: int) -> tuple:
+        aux = None if self.aux is None else self.aux[pos].copy()
+        return self.theta[pos].copy(), aux
+
+
+def run_many(
     problem: ProblemInstance,
     net: NetworkOperator,
-    config: RunConfig,
-    theta_ref: np.ndarray | None,
-) -> TraceRecord:
-    grad = stacked_gradient(problem, state.theta)
-    curvature = None
-    if config.record_curvature:
-        curvature = tangent_min_curvature(state.theta, problem)
-    dist = None
+    starts,
+    configs,
+    theta_ref: np.ndarray | None = None,
+) -> list:
+    """Run a stack of configured runs in lockstep, one start per config.
+
+    The configs must share ``stack_key``: the budget, the record stride
+    and whether the auxiliary point is carried. Everything else (the
+    algorithm, step size, noise variance and seed, curvature records,
+    the descent monitor, certification and early exit) is per run, and
+    each run's trace is bitwise the one it would get alone: it keeps its
+    own ``default_rng(seed)`` stream, drawn one block per record stride.
+
+    Starts are checked as in ``run``, and a bad one raises before any run
+    starts. A run that diverges or breaks the descent inequality stops at
+    the iteration where that happens, and its ``DivergenceError`` or
+    ``DescentViolationError`` stands in its place in the returned list;
+    the other runs go on. Returns traces (or those errors) in input order.
+    """
+    configs = list(configs)
+    starts = [_checked_start(problem, net, start) for start in starts]
+    if len(starts) != len(configs):
+        raise ValueError(f"{len(starts)} starts for {len(configs)} configs")
+    if not configs:
+        return []
+    keys = {stack_key(config) for config in configs}
+    if len(keys) > 1:
+        raise ValueError(
+            "runs in one stack must share max_iters, record_every and "
+            "the auxiliary route"
+        )
+    max_iters, stride, with_aux = keys.pop()
     if theta_ref is not None:
-        dist = float(np.linalg.norm(state.theta - theta_ref))
-    return TraceRecord(
-        iteration=state.iteration,
-        f_value=stacked_value(problem, state.theta),
-        feas_residual=float(
-            np.linalg.norm(block_sum(state.theta, problem.n) - problem.demand)
-        ),
-        proj_grad_norm=float(
-            np.linalg.norm(apply_lifted(net.sqrt_laplacian, grad, problem.n))
-        ),
-        tangent_curvature=curvature,
-        dist_to_ref=dist,
-    )
+        theta_ref = np.asarray(theta_ref, dtype=float)
 
+    m, n = problem.m, problem.n
+    stack = _Stack(starts, configs, with_aux)
+    rngs = [np.random.default_rng(config.seed) for config in configs]
+    slopes = [None] * len(configs)
+    for i, config in enumerate(configs):
+        if config.monitor_descent and config.algorithm not in NOISY:
+            lip_grad, _ = lipschitz_constants(problem)
+            slopes[i] = -1.0 / config.step_size + net.lambda_max * lip_grad / 2.0
+    records = [[] for _ in configs]
+    first_certified = [None] * len(configs)
+    results = [None] * len(configs)
 
-def _certified(record: TraceRecord, config: RunConfig) -> bool:
-    if config.stop_eps is None:
-        return False
-    return (
-        record.proj_grad_norm <= config.stop_eps
-        and record.tangent_curvature >= -config.stop_gamma
-    )
+    def record_all(t: int) -> None:
+        theta = stack.theta
+        grad = stacked_gradient(problem, theta)
+        values = stacked_value(problem, theta)
+        feas = _row_norms(block_sum(theta, n) - problem.demand)
+        proj = _row_norms(apply_lifted(net.sqrt_laplacian, grad, n))
+        dist = None if theta_ref is None else _row_norms(theta - theta_ref)
+        wants = np.array([configs[i].record_curvature for i in stack.ids])
+        curvature = iter(())
+        if wants.any():
+            curvature = iter(tangent_min_curvature(theta[wants], problem))
+        for pos, i in enumerate(stack.ids):
+            config = configs[i]
+            record = TraceRecord(
+                iteration=t,
+                f_value=float(values[pos]),
+                feas_residual=float(feas[pos]),
+                proj_grad_norm=float(proj[pos]),
+                tangent_curvature=float(next(curvature)) if wants[pos] else None,
+                dist_to_ref=None if dist is None else float(dist[pos]),
+            )
+            records[i].append(record)
+            if (
+                first_certified[i] is None
+                and config.stop_eps is not None
+                and record.proj_grad_norm <= config.stop_eps
+                and record.tangent_curvature >= -config.stop_gamma
+            ):
+                first_certified[i] = t
+
+    def finish(t: int, done: np.ndarray) -> None:
+        if not done.any():
+            return
+        for pos in np.flatnonzero(done):
+            i = stack.ids[pos]
+            theta, aux = stack.snapshot(pos)
+            results[i] = Trace(
+                records=tuple(records[i]),
+                final_theta=theta,
+                final_aux_x=aux,
+                iterations_run=t,
+                first_certified_iter=first_certified[i],
+            )
+        stack.keep(~done)
+
+    def draw_noise(limit: int) -> int:
+        """Draw the kicks of the next steps (at most ``limit``) for every
+        noisy run; returns how many steps the block covers."""
+        noisy_ids = stack.ids[stack.noisy]
+        if not len(noisy_ids):
+            stack.kicks = None
+            return limit
+        steps = max(1, min(limit, NOISE_CHUNK // (len(noisy_ids) * m * n)))
+        stack.kicks = np.stack(
+            [
+                sample_perturbation(m, n, configs[i].noise_variance, rngs[i], steps)
+                for i in noisy_ids
+            ],
+            axis=1,
+        )
+        return steps
+
+    def check_divergence(t: int) -> None:
+        theta = stack.theta
+        sq = np.einsum("ij,ij->i", theta, theta)
+        if (sq < 0.99 * DIVERGENCE_NORM**2).all():
+            return
+        failed = np.zeros(len(theta), dtype=bool)
+        for pos in np.flatnonzero(~(sq < 0.99 * DIVERGENCE_NORM**2)):
+            norm = float(np.linalg.norm(theta[pos]))
+            if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
+                failed[pos] = True
+                i = stack.ids[pos]
+                final, aux = stack.snapshot(pos)
+                partial = Trace(
+                    records=tuple(records[i]),
+                    final_theta=final,
+                    final_aux_x=aux,
+                    iterations_run=t,
+                )
+                results[i] = DivergenceError(t, partial)
+        if failed.any():
+            stack.keep(~failed)
+
+    def check_descent(t: int) -> None:
+        rows = np.array([slopes[i] is not None for i in stack.ids])
+        if not rows.any():
+            return
+        after = stacked_value(problem, stack.theta[rows])
+        failed = np.zeros(len(rows), dtype=bool)
+        for value, pos in zip(after, np.flatnonzero(rows)):
+            i = stack.ids[pos]
+            last = records[i][-1]
+            step_sq = (configs[i].step_size * last.proj_grad_norm) ** 2
+            bound = slopes[i] * step_sq
+            drop = float(value) - last.f_value
+            if drop > bound + 1e-9:
+                failed[pos] = True
+                results[i] = DescentViolationError(t - 1, drop, bound)
+        if failed.any():
+            stack.keep(~failed)
+
+    t = 0
+    while len(stack.ids):
+        record_all(t)
+        done = np.array(
+            [
+                t == max_iters or (configs[i].early_exit and first_certified[i] == t)
+                for i in stack.ids
+            ]
+        )
+        finish(t, done)
+        span = min(stride, max_iters - t)
+        chunk_start = chunk_end = 0
+        for offset in range(span):
+            if not len(stack.ids):
+                break
+            if offset == chunk_end:
+                chunk_start, chunk_end = offset, offset + draw_noise(span - offset)
+            kick = None if stack.kicks is None else stack.kicks[offset - chunk_start]
+            stack.theta, stack.aux = _advance(
+                problem,
+                net,
+                stack.theta,
+                stack.aux,
+                stack.anchor,
+                stack.step,
+                kick,
+                stack.direct,
+                stack.noisy,
+            )
+            check_divergence(t + offset + 1)
+            if offset == 0:
+                check_descent(t + 1)
+        t += span
+    return results
 
 
 def run(
@@ -375,104 +676,15 @@ def run(
 ) -> Trace:
     """Run the configured algorithm from a feasible start.
 
-    Guards: the start must satisfy the demand constraint to relative
-    precision; iterates past the norm guard or containing non-finite
-    values raise ``DivergenceError`` carrying the partial trace. With
-    ``monitor_descent`` and a noiseless algorithm, each recorded step is
-    checked against the sufficient-descent inequality. Identical inputs,
-    config and seed reproduce the identical trace.
+    Guards: the start must be finite and satisfy the demand constraint to
+    relative precision; iterates past the norm guard or containing
+    non-finite values raise ``DivergenceError`` carrying the partial
+    trace. With ``monitor_descent`` and a noiseless algorithm, each
+    recorded step is checked against the sufficient-descent inequality.
+    Identical inputs, config and seed reproduce the identical trace. This
+    is ``run_many`` on a stack of one.
     """
-    theta_start = np.asarray(theta_start, dtype=float)
-    if net.agent_dim != problem.n:
-        raise ValueError(
-            f"network agent_dim {net.agent_dim} != problem dimension {problem.n}"
-        )
-    if theta_start.shape != (problem.m * problem.n,):
-        raise ValueError(
-            f"start has shape {theta_start.shape}, "
-            f"expected ({problem.m * problem.n},)"
-        )
-    start_residual = float(
-        np.linalg.norm(block_sum(theta_start, problem.n) - problem.demand)
-    )
-    feas_limit = START_FEAS_RTOL * (1.0 + float(np.linalg.norm(problem.demand)))
-    if start_residual > feas_limit:
-        raise InfeasibleStartError(
-            f"starting blocks sum to residual {start_residual:g}, "
-            f"limit {feas_limit:g}; the demand constraint must hold at entry"
-        )
-    if theta_ref is not None:
-        theta_ref = np.asarray(theta_ref, dtype=float)
-
-    algorithm = config.algorithm
-    rng = np.random.default_rng(config.seed)
-    with_aux = algorithm in AUX or config.track_auxiliary
-    state = initial_state(theta_start, with_aux)
-
-    descent_slope = None
-    if config.monitor_descent and algorithm not in NOISY:
-        lip_grad, _ = lipschitz_constants(problem)
-        lip_aux = net.lambda_max * lip_grad
-        descent_slope = -1.0 / config.step_size + lip_aux / 2.0
-
-    def advance(current: IterateState) -> IterateState:
-        if algorithm is Algorithm.LGD:
-            return lgd_step(current, problem, net, config.step_size)
-        if algorithm is Algorithm.NLGD:
-            return nlgd_step(
-                current, problem, net, config.step_size, config.noise_variance, rng
-            )
-        if algorithm is Algorithm.AUX_GD:
-            return aux_gd_step(current, problem, net, config.step_size)
-        return aux_ngd_step(
-            current, problem, net, config.step_size, config.noise_variance, rng
-        )
-
-    records = []
-    first_certified = None
-    stopped_early = False
-
-    for _ in range(config.max_iters):
-        record = None
-        if state.iteration % config.record_every == 0:
-            record = _record(state, problem, net, config, theta_ref)
-            records.append(record)
-            if first_certified is None and _certified(record, config):
-                first_certified = record.iteration
-                if config.early_exit:
-                    stopped_early = True
-                    break
-
-        state = advance(state)
-        norm = float(np.linalg.norm(state.theta))
-        if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-            partial = Trace(
-                records=tuple(records),
-                final_theta=state.theta,
-                final_aux_x=state.aux_x,
-                iterations_run=state.iteration,
-            )
-            raise DivergenceError(state.iteration, partial)
-
-        if record is not None and descent_slope is not None:
-            after = stacked_value(problem, state.theta)
-            step_sq = (config.step_size * record.proj_grad_norm) ** 2
-            bound = descent_slope * step_sq
-            if after - record.f_value > bound + 1e-9:
-                raise DescentViolationError(
-                    state.iteration - 1, after - record.f_value, bound
-                )
-
-    if not stopped_early and (not records or records[-1].iteration != state.iteration):
-        record = _record(state, problem, net, config, theta_ref)
-        records.append(record)
-        if first_certified is None and _certified(record, config):
-            first_certified = record.iteration
-
-    return Trace(
-        records=tuple(records),
-        final_theta=state.theta,
-        final_aux_x=state.aux_x,
-        iterations_run=state.iteration,
-        first_certified_iter=first_certified,
-    )
+    (outcome,) = run_many(problem, net, [theta_start], [config], theta_ref)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

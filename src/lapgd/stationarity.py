@@ -99,20 +99,94 @@ def tangent_basis(m: int, n: int) -> np.ndarray:
     return basis
 
 
-def tangent_min_curvature(theta: np.ndarray, problem: ProblemInstance) -> float:
+# Stacked curvature solves go in groups of runs whose restricted Hessians
+# hold at most this many values together, so memory stays near that of
+# a single solve however many runs a stack has.
+CURVATURE_GROUP = 1 << 15
+
+
+def _lowest_restricted(points: np.ndarray, problem: ProblemInstance, q: np.ndarray) -> np.ndarray:
+    m, n = problem.m, problem.n
+    blocks = hessian_blocks(problem, points)
+    hq = (blocks @ q.reshape(m, n, -1)).reshape((len(points),) + q.shape)
+    restricted = q.T @ hq
+    del hq
+    restricted += np.swapaxes(restricted, -1, -2)
+    restricted *= 0.5
+    return np.linalg.eigvalsh(restricted)[:, 0]
+
+
+def tangent_min_curvature(theta: np.ndarray, problem: ProblemInstance):
     """Smallest eigenvalue of the Hessian restricted to the tangent space.
 
-    The Hessian is block diagonal, so the restriction Q' H Q is formed
-    block-wise from the per-agent Hessians and the cached basis, then
-    solved densely.
+    The Hessian is block diagonal, so the restriction Q' (H Q) is formed
+    from the per-agent Hessians and the cached basis by two BLAS products,
+    then solved densely. A leading run axis on theta gives one value per
+    run (an array) from stacked solves; a single point gives a float.
     """
-    q = tangent_basis(problem.m, problem.n)
-    blocks = hessian_blocks(problem, theta)
-    q_blocks = q.reshape(problem.m, problem.n, -1)
-    hq = np.einsum("mab,mbq->maq", blocks, q_blocks)
-    restricted = np.einsum("maq,map->qp", q_blocks, hq)
-    restricted = (restricted + restricted.T) / 2.0
-    return float(np.linalg.eigvalsh(restricted)[0])
+    theta = np.asarray(theta, dtype=float)
+    m, n = problem.m, problem.n
+    if theta.ndim == 0 or theta.shape[-1] != m * n:
+        raise ValueError(f"stacked point has shape {theta.shape}, expected (..., {m * n})")
+    q = tangent_basis(m, n)
+    points = theta.reshape(-1, m * n)
+    group = max(1, CURVATURE_GROUP // q.shape[1] ** 2)
+    lowest = np.concatenate(
+        [
+            _lowest_restricted(points[k : k + group], problem, q)
+            for k in range(0, len(points), group)
+        ]
+    )
+    return float(lowest[0]) if theta.ndim == 1 else lowest.reshape(theta.shape[:-1])
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """The three numbers a certificate is judged on."""
+
+    feasibility_residual: float
+    projected_grad_norm: float
+    tangent_min_curvature: float
+
+
+def measure(theta: np.ndarray, problem: ProblemInstance, net: NetworkOperator) -> Measurement:
+    """Feasibility residual, projected gradient and tangent curvature at
+    theta. Non-finite allocations raise ValueError: they have no
+    meaningful residuals, and every comparison with NaN is false."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError("allocation has non-finite values")
+    return Measurement(
+        feasibility_residual=feasibility_residual(theta, problem.demand),
+        projected_grad_norm=projected_grad_norm(theta, problem, net),
+        tangent_min_curvature=tangent_min_curvature(theta, problem),
+    )
+
+
+def judge(
+    measured: Measurement, eps: float, gamma: float, feas_tol: float
+) -> StationarityReport:
+    """Judge measured residuals against feasibility, an eps bound on the
+    projected gradient, and a -gamma floor on tangent curvature. All
+    comparisons are inclusive, so boundary values pass."""
+    if measured.feasibility_residual > feas_tol:
+        label = Classification.INFEASIBLE
+    elif measured.projected_grad_norm > eps:
+        label = Classification.NOT_STATIONARY
+    elif measured.tangent_min_curvature >= -gamma:
+        label = Classification.SECOND_ORDER
+    else:
+        label = Classification.FIRST_ORDER_ONLY
+
+    return StationarityReport(
+        feasibility_residual=measured.feasibility_residual,
+        projected_grad_norm=measured.projected_grad_norm,
+        tangent_min_curvature=measured.tangent_min_curvature,
+        classification=label,
+        eps=float(eps),
+        gamma=float(gamma),
+        feas_tol=float(feas_tol),
+    )
 
 
 def classify(
@@ -123,33 +197,11 @@ def classify(
     gamma: float,
     feas_tol: float | None = None,
 ) -> StationarityReport:
-    """Judge theta against feasibility, an eps bound on the projected
-    gradient, and a -gamma floor on tangent curvature. All comparisons
-    are inclusive, so boundary values pass."""
+    """Measure theta and judge it (see ``measure`` and ``judge``);
+    non-finite allocations raise ValueError."""
     if feas_tol is None:
         feas_tol = default_feas_tol(problem.demand)
-    feas = feasibility_residual(theta, problem.demand)
-    grad_norm = projected_grad_norm(theta, problem, net)
-    curvature = tangent_min_curvature(theta, problem)
-
-    if feas > feas_tol:
-        label = Classification.INFEASIBLE
-    elif grad_norm > eps:
-        label = Classification.NOT_STATIONARY
-    elif curvature >= -gamma:
-        label = Classification.SECOND_ORDER
-    else:
-        label = Classification.FIRST_ORDER_ONLY
-
-    return StationarityReport(
-        feasibility_residual=feas,
-        projected_grad_norm=grad_norm,
-        tangent_min_curvature=curvature,
-        classification=label,
-        eps=float(eps),
-        gamma=float(gamma),
-        feas_tol=float(feas_tol),
-    )
+    return judge(measure(theta, problem, net), eps, gamma, feas_tol)
 
 
 def aux_hessian(theta: np.ndarray, problem: ProblemInstance, net: NetworkOperator) -> np.ndarray:

@@ -296,6 +296,39 @@ def test_cli_check_certified_and_not(tmp_path, capsys):
     assert "first_order_only" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("values", ["nan 1 2\n", "inf -inf 3\n"], ids=["nan", "inf"])
+def test_cli_check_rejects_non_finite_allocation(tmp_path, capsys, values):
+    cfg = write_config(
+        tmp_path,
+        textwrap.dedent(
+            """\
+            problem:
+              family: quadratic
+              m: 3
+              demand: 3.0
+              params:
+                a: [1.0, 2.0, 4.0]
+            network:
+              kind: cycle
+              m: 3
+            """
+        ),
+    )
+    state = tmp_path / "state.txt"
+    state.write_text(values)
+    assert main(["check", str(cfg), str(state)]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert "second_order" not in captured.out
+
+
+def test_cli_run_non_finite_start_is_input_error(tmp_path, capsys):
+    text = QUADRATIC_YAML + "init:\n  kind: explicit\n  values: [.nan, 1.0]\n"
+    cfg = write_config(tmp_path, text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_cli_check_wrong_length(tmp_path, capsys):
     cfg = write_config(tmp_path, QUADRATIC_YAML)
     short = tmp_path / "short.txt"

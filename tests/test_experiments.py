@@ -230,6 +230,33 @@ def test_noise_streams_independent_across_configs():
     assert a.trace.records[-1].f_value != b.trace.records[-1].f_value
 
 
+def test_final_report_judges_the_last_record(monkeypatch):
+    import lapgd.experiments as experiments
+
+    sc = truncated(build_smart_grid_scenario(0), max_iters=600)
+    batch = run_batch(sc, [0], sc.configs)
+    # the certifier is not run again when the last record holds curvature
+    monkeypatch.setattr(experiments, "measure", None)
+    for result in batch.runs:
+        report = experiments.final_report(result.trace, sc.problem, sc.net)
+        again = classify(
+            result.trace.final_theta, sc.problem, sc.net, report.eps, report.gamma
+        )
+        assert report == again == result.final_report
+
+
+def test_final_report_measures_without_curvature_records():
+    from lapgd.experiments import final_report
+
+    sc = build_smart_grid_scenario(0)
+    config = replace(sc.configs["lgd"], max_iters=300, record_curvature=False)
+    trace = run(sc.problem, sc.net, sc.theta_start, config)
+    assert trace.records[-1].tangent_curvature is None
+    report = final_report(trace, sc.problem, sc.net)
+    again = classify(trace.final_theta, sc.problem, sc.net, report.eps, report.gamma)
+    assert report == again
+
+
 def test_run_batch_rejects_negative_seed():
     sc = truncated(build_smart_grid_scenario(0))
     with pytest.raises(ValueError, match="non-negative"):

@@ -1,6 +1,7 @@
 """Local objective families, stacked evaluation, and derivative checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,6 +305,17 @@ def test_batch_matches_per_agent_loop(seed):
     assert stacked_value(problem, theta) == pytest.approx(loop_value, rel=1e-12)
     assert np.allclose(stacked_gradient(problem, theta), loop_grad, atol=1e-12)
     assert np.allclose(hessian_blocks(problem, theta), loop_hess, atol=1e-12)
+
+    # a leading run axis: the vectorized and the per-agent paths agree,
+    # and each run gets exactly what it gets alone
+    stack = np.stack([theta, _random_theta(rng, problem.m, problem.n)])
+    loop = replace(problem, batch=None)
+    for evaluate in (stacked_value, stacked_gradient, hessian_blocks):
+        stacked = evaluate(problem, stack)
+        assert np.allclose(stacked, evaluate(loop, stack), rtol=1e-12, atol=1e-12)
+        for run_point, value in zip(stack, stacked):
+            assert np.array_equal(value, evaluate(problem, run_point))
+        assert np.array_equal(evaluate(loop, stack)[0], evaluate(loop, stack[0]))
 
 
 def test_eval_global_shapes():

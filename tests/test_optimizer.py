@@ -350,6 +350,41 @@ def test_config_validation():
         RunConfig(Algorithm.LGD, 0.1, 10, early_exit=True)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"step_size": math.nan},
+        {"algorithm": Algorithm.NLGD, "noise_variance": math.nan},
+        {"record_curvature": True, "stop_eps": math.nan, "stop_gamma": 1.0},
+        {"record_curvature": True, "stop_eps": -1e-3, "stop_gamma": 1.0},
+        {"record_curvature": True, "stop_eps": 1e-3, "stop_gamma": math.nan},
+        {"record_curvature": True, "stop_eps": 1e-3, "stop_gamma": -1.0},
+    ],
+    ids=[
+        "nan_step_size",
+        "nan_noise_variance",
+        "nan_stop_eps",
+        "negative_stop_eps",
+        "nan_stop_gamma",
+        "negative_stop_gamma",
+    ],
+)
+def test_config_rejects_non_finite_and_negative(fields):
+    base = {"algorithm": Algorithm.LGD, "step_size": 0.1, "max_iters": 10}
+    with pytest.raises(ValueError):
+        RunConfig(**{**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "start", [[math.nan, 1.0], [math.inf, -math.inf]], ids=["nan", "inf"]
+)
+def test_run_rejects_non_finite_start_as_input_error(start):
+    problem, net = two_agent_quadratic()
+    with pytest.raises(ValueError, match="non-finite") as err:
+        run(problem, net, np.array(start), RunConfig(Algorithm.LGD, 0.1, 10))
+    assert not isinstance(err.value, InfeasibleStartError)
+
+
 def test_algorithm_coerced_from_string():
     cfg = RunConfig("nlgd", step_size=0.1, max_iters=10, noise_variance=0.1)
     assert cfg.algorithm is Algorithm.NLGD

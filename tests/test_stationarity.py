@@ -111,6 +111,18 @@ def test_tangent_min_curvature_isotropic(c):
     assert curv == pytest.approx(c, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_tangent_min_curvature_stacked_equals_single(n):
+    rng = np.random.default_rng(21 + n)
+    mu, cov, rw, lw = sample_portfolio_params(7, n, rng)
+    problem = portfolio_problem(mu, cov, rw, lw, demand=np.ones(n))
+    points = rng.normal(size=(4, 7 * n))
+    stacked = tangent_min_curvature(points, problem)
+    assert stacked.shape == (4,)
+    for point, value in zip(points, stacked):
+        assert value == tangent_min_curvature(point, problem)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_tangent_min_curvature_rayleigh_oracle(seed):
     # sampled tangent Rayleigh quotients can only sit above the minimum
@@ -192,6 +204,18 @@ def test_classify_feas_tol_override():
     assert report.classification is not Classification.INFEASIBLE
     tight = classify(theta, problem, two_agent_net(), 1.0, 1.0, feas_tol=0.05)
     assert tight.classification is Classification.INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "theta", [[np.nan, 1.0, 2.0], [np.inf, -np.inf, 3.0]], ids=["nan", "inf"]
+)
+def test_classify_rejects_non_finite_allocation(theta):
+    # every comparison with NaN is false, so without the check such a
+    # point would pass as second order
+    problem = quadratic_problem([1.0, 2.0, 4.0], 3.0)
+    net = build_laplacian(cycle_graph(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        classify(np.array(theta), problem, net, 1e-6, 1e-6)
 
 
 def test_report_records_inputs():

@@ -31,7 +31,7 @@ def main():
     net = build_laplacian(watts_strogatz(6, 2, 0.3, seed=4))
     theta0 = rng.normal(scale=0.3, size=6)
     theta0 -= theta0.mean()  # feasible for zero demand
-    step = 0.4 / (net.lambda_max * max(o.lip_grad for o in problem.objectives))
+    step = 0.4 / (net.lambda_max * problem.lip_grad)
 
     direct = initial_state(theta0, with_aux=False)
     lifted = initial_state(theta0, with_aux=True)

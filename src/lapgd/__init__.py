@@ -18,30 +18,21 @@ from .network import (
     component_count,
     cycle_graph,
     is_connected,
-    matrix_sqrt_psd,
     path_graph,
     read_edge_list,
     watts_strogatz,
     write_edge_list,
 )
 from .objectives import (
-    BatchEvaluator,
-    GlobalEval,
-    LocalObjective,
     ProblemInstance,
     estimate_global_min_sum,
-    estimate_min_value,
-    eval_global,
     fd_check,
     hessian_blocks,
     lipschitz_constants,
-    portfolio_objective,
     portfolio_problem,
-    quadratic_objective,
     quadratic_problem,
     sample_portfolio_params,
     sample_smart_grid_params,
-    smart_grid_objective,
     smart_grid_problem,
     stacked_gradient,
     stacked_value,
@@ -57,6 +48,7 @@ from .optimizer import (
     TraceRecord,
     aux_gd_step,
     aux_ngd_step,
+    curvature_tolerance,
     initial_state,
     iteration_budget,
     lgd_step,
@@ -102,6 +94,7 @@ from .experiments import (
     summary_rows,
     sweep_sigma,
     tangent_perturbation,
+    write_trace_csv,
 )
 from .config import Bundle, ConfigError, load_bundle, load_config
 

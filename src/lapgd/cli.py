@@ -24,12 +24,11 @@ import yaml
 from .config import ConfigError, load_bundle
 from .experiments import (
     SCENARIO_BUILDERS,
-    TRACE_HEADER,
     export_traces,
     final_report,
-    fmt_float,
     run_batch,
     sweep_sigma,
+    write_trace_csv,
 )
 from .network import (
     DisconnectedGraphError,
@@ -41,6 +40,7 @@ from .objectives import estimate_global_min_sum, lipschitz_constants, stacked_va
 from .optimizer import (
     DivergenceError,
     InfeasibleStartError,
+    curvature_tolerance,
     iteration_budget,
     run,
     theoretical_step_bound,
@@ -58,31 +58,13 @@ def _default_out_dir() -> str:
     return os.environ.get("LAPGD_OUT_DIR", "lapgd_out")
 
 
-def _write_trace_csv(trace, path: Path) -> None:
-    lines = [TRACE_HEADER]
-    for rec in trace.records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.iteration),
-                    fmt_float(rec.f_value),
-                    fmt_float(rec.feas_residual),
-                    fmt_float(rec.proj_grad_norm),
-                    fmt_float(rec.tangent_curvature),
-                    fmt_float(rec.dist_to_ref),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def cmd_run(args) -> int:
     bundle = load_bundle(args.config, require_run=True)
     trace = run(bundle.problem, bundle.net, bundle.theta_start, bundle.run_config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
-    _write_trace_csv(trace, trace_path)
+    write_trace_csv(trace, trace_path)
     manifest_path = out / "manifest.yaml"
     with open(manifest_path, "w", encoding="utf-8") as handle:
         yaml.safe_dump({"kind": "run", "config": bundle.raw}, handle, sort_keys=False)
@@ -178,7 +160,8 @@ def cmd_spectrum(args) -> int:
     ) / max(np.linalg.norm(net.laplacian), 1e-300)
     print(f"lambda_min_plus: {net.lambda_min_plus!r}")
     print(f"lambda_max: {net.lambda_max!r}")
-    print(f"sqrt_norm_sq: {net.lambda_max!r}")
+    sqrt_norm_sq = float(np.linalg.eigvalsh(net.sqrt_laplacian)[-1] ** 2)
+    print(f"sqrt_norm_sq: {sqrt_norm_sq!r}")
     print(f"sqrt_residual: {float(residual)!r}")
     return EXIT_OK
 
@@ -191,7 +174,7 @@ def cmd_params(args) -> int:
     variance = variance_for_tolerance(
         args.grad_tol, bundle.problem.m, bundle.problem.n
     )
-    curv_tol = float(np.sqrt(args.grad_tol * net.lambda_max**1.5 * lip_hess))
+    curv_tol = curvature_tolerance(args.grad_tol, net.lambda_max, lip_hess)
     min_sum = bundle.problem.global_min_sum
     if min_sum is None:
         min_sum = estimate_global_min_sum(bundle.problem)

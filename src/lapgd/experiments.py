@@ -34,7 +34,7 @@ from .objectives import (
     portfolio_problem,
     stacked_value,
 )
-from .optimizer import Algorithm, RunConfig, Trace, run_many, stack_key
+from .optimizer import Algorithm, RunConfig, Trace, curvature_tolerance, run_many, stack_key
 from .stationarity import Measurement, StationarityReport, default_feas_tol, judge, measure
 
 TRACE_HEADER = "iter,f_value,feas_residual,proj_grad_norm,tangent_curvature,dist_to_ref"
@@ -254,8 +254,7 @@ def final_report(
     last = trace.records[-1]
     eps = last.proj_grad_norm
     _, lip_hess = lipschitz_constants(problem)
-    curv_tol = float(np.sqrt(eps * net.lambda_max**1.5 * lip_hess))
-    gamma = curv_tol / net.lambda_min_plus
+    gamma = curvature_tolerance(eps, net.lambda_max, lip_hess) / net.lambda_min_plus
     if last.tangent_curvature is None:
         measured = measure(trace.final_theta, problem, net)
     else:
@@ -363,6 +362,16 @@ def fmt_float(value) -> str:
     return repr(float(value))
 
 
+def write_trace_csv(trace: Trace, path) -> None:
+    """Write one run's records as CSV under ``TRACE_HEADER``, floats by
+    repr, so identical traces give byte-identical files."""
+    lines = [TRACE_HEADER]
+    for rec in trace.records:
+        values = (rec.f_value, rec.feas_residual, rec.proj_grad_norm, rec.tangent_curvature, rec.dist_to_ref)
+        lines.append(",".join([str(rec.iteration), *map(fmt_float, values)]))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def summary_rows(batch: BatchResult) -> list:
     """One dict per run, sorted by (config label, seed) so the summary is
     independent of execution order."""
@@ -417,21 +426,7 @@ def export_traces(batch: BatchResult, out_dir) -> list:
 
     for result in batch.runs:
         path = out / f"trace_{result.label}_seed{result.seed}.csv"
-        lines = [TRACE_HEADER]
-        for rec in result.trace.records:
-            lines.append(
-                ",".join(
-                    [
-                        str(rec.iteration),
-                        fmt_float(rec.f_value),
-                        fmt_float(rec.feas_residual),
-                        fmt_float(rec.proj_grad_norm),
-                        fmt_float(rec.tangent_curvature),
-                        fmt_float(rec.dist_to_ref),
-                    ]
-                )
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_trace_csv(result.trace, path)
         written.append(path)
 
     summary_path = out / "summary.csv"

@@ -225,13 +225,13 @@ def build_laplacian(graph: Graph, agent_dim: int = 1) -> NetworkOperator:
         lap[i, i] += 1.0
         lap[j, j] += 1.0
 
-    eigvals = np.linalg.eigvalsh(lap)
+    eigvals, eigvecs = np.linalg.eigh(lap)
     lam_max = float(eigvals[-1])
     cutoff = ZERO_EIG_RTOL * max(lam_max, 0.0)
-    positive = eigvals[eigvals > cutoff]
+    positive = eigvals > cutoff
 
     components = component_count(graph)
-    spectral_connected = positive.size == m - 1
+    spectral_connected = int(positive.sum()) == m - 1
     if (components == 1) != spectral_connected:
         raise RuntimeError(
             "connectivity disagreement between spectrum and traversal"
@@ -239,41 +239,21 @@ def build_laplacian(graph: Graph, agent_dim: int = 1) -> NetworkOperator:
     if components != 1:
         raise DisconnectedGraphError(components)
 
-    sqrt_lap = matrix_sqrt_psd(lap)
+    # The kernel eigenvalue comes out at rounding level (about eps *
+    # lambda_max, either sign); its root must be exactly 0, or S picks up
+    # a component along the ones vector and S (x) I leaks block sums.
+    roots = np.sqrt(np.where(positive, eigvals, 0.0))
+    sqrt_lap = (eigvecs * roots) @ eigvecs.T
+    sqrt_lap = (sqrt_lap + sqrt_lap.T) / 2.0
     lap.flags.writeable = False
     sqrt_lap.flags.writeable = False
     return NetworkOperator(
         laplacian=lap,
         sqrt_laplacian=sqrt_lap,
-        lambda_min_plus=float(positive[0]),
+        lambda_min_plus=float(eigvals[positive][0]),
         lambda_max=lam_max,
         agent_dim=agent_dim,
     )
-
-
-def matrix_sqrt_psd(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Eigenvalues in [-tol * lambda_max, 0) are treated as rounding noise
-    and clamped to zero; anything more negative raises ValueError. The
-    input must be symmetric.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    scale = np.abs(mat).max() if mat.size else 0.0
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=tol * (1.0 + scale)):
-        raise ValueError("matrix is not symmetric")
-
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    lam_max = float(eigvals[-1]) if eigvals.size else 0.0
-    floor = -tol * max(lam_max, 0.0)
-    if eigvals[0] < floor:
-        raise ValueError(
-            f"matrix is not PSD within tolerance: min eigenvalue {eigvals[0]:g}"
-        )
-    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
-    return (root + root.T) / 2.0
 
 
 def apply_lifted(mat: np.ndarray, vec: np.ndarray, block_dim: int) -> np.ndarray:

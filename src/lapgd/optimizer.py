@@ -362,6 +362,13 @@ def variance_for_tolerance(grad_tol: float, m: int, n: int) -> float:
     return grad_tol**2 / (12.0 * m * n)
 
 
+def curvature_tolerance(grad_tol: float, lambda_max: float, lip_hess: float) -> float:
+    """Tangent-curvature tolerance sqrt(grad_tol * lambda_max^1.5 * L_hess)
+    matched to a projected-gradient tolerance through the Hessian
+    smoothness bound and ||S||^2 = lambda_max."""
+    return float(np.sqrt(grad_tol * lambda_max**1.5 * lip_hess))
+
+
 def iteration_budget(
     psi_start: float,
     min_sum: float,

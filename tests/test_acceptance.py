@@ -29,13 +29,10 @@ from lapgd.network import (
 )
 from lapgd.objectives import (
     fd_check,
-    portfolio_objective,
     portfolio_problem,
-    quadratic_objective,
     quadratic_problem,
     sample_portfolio_params,
     sample_smart_grid_params,
-    smart_grid_objective,
     smart_grid_problem,
     stacked_value,
 )
@@ -102,7 +99,7 @@ def _six_agent_instance():
     problem = smart_grid_problem(a, b)
     net = build_laplacian(watts_strogatz(6, 2, 0.3, seed=4))
     theta0 = tangent_perturbation(6, 1, 0.5, rng)
-    lip = max(o.lip_grad for o in problem.objectives)
+    lip = problem.lip_grad
     return problem, net, theta0, 0.4 / (net.lambda_max * lip)
 
 
@@ -206,16 +203,17 @@ def test_criterion_05_derivatives_match_finite_differences():
         for index in range(100):
             rng = np.random.default_rng(900 + index)
             dim = int(rng.integers(1, 4))
-            w = rng.normal(size=(dim, dim))
-            quad = quadratic_objective(w @ w.T + 0.5 * np.eye(dim), c=rng.normal(size=dim))
-            grid = smart_grid_objective(
-                float(rng.uniform(0.5, 1.5)), float(rng.uniform(2.0, 3.0)), dim=dim
+            zero = np.zeros(dim)
+            quad = quadratic_problem(
+                rng.uniform(0.5, 3.0, size=2), zero, c_values=rng.normal(size=(2, dim))
             )
-            mu, cov, rw, lw = sample_portfolio_params(1, dim, rng)
-            folio = portfolio_objective(mu[0], cov[0], rw[0], lw[0])
-            for obj in (quad, grid, folio):
-                point = rng.normal(scale=1.5, size=dim)
-                grad_err, hess_err = fd_check(obj, point)
+            grid = smart_grid_problem(
+                rng.uniform(0.5, 1.5, size=2), rng.uniform(2.0, 3.0, size=2), agent_dim=dim
+            )
+            folio = portfolio_problem(*sample_portfolio_params(2, dim, rng), zero)
+            for problem in (quad, grid, folio):
+                point = rng.normal(scale=1.5, size=2 * dim)
+                grad_err, hess_err = fd_check(problem, point)
                 worst_grad = max(worst_grad, grad_err)
                 worst_hess = max(worst_hess, hess_err)
         assert worst_grad <= 1e-6, f"worst gradient error {worst_grad:.3e}"

@@ -348,6 +348,8 @@ def test_cli_spectrum(tmp_path, capsys):
     )
     assert float(values["lambda_min_plus"]) == pytest.approx(2.0 - np.sqrt(2.0))
     assert float(values["lambda_max"]) == pytest.approx(2.0 + np.sqrt(2.0))
+    # measured from the root, not copied: ||S||^2 = lambda_max
+    assert abs(float(values["sqrt_norm_sq"]) - float(values["lambda_max"])) <= 1e-10
     assert float(values["sqrt_residual"]) <= 1e-10
 
 

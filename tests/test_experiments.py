@@ -25,7 +25,7 @@ from lapgd.experiments import (
 from lapgd.network import block_sum, is_connected
 from lapgd.objectives import stacked_value
 from lapgd.optimizer import Algorithm, RunConfig, Trace, TraceRecord, run
-from lapgd.stationarity import Classification, classify
+from lapgd.stationarity import Classification, classify, default_feas_tol
 
 
 def truncated(scenario, max_iters=2000, record_every=100):
@@ -255,6 +255,17 @@ def test_final_report_measures_without_curvature_records():
     report = final_report(trace, sc.problem, sc.net)
     again = classify(trace.final_theta, sc.problem, sc.net, report.eps, report.gamma)
     assert report == again
+
+
+def test_noisy_portfolio_run_keeps_block_sum():
+    # scenario 12's graph has a kernel eigenvalue that rounds away from 0;
+    # unit-variance noise through the root must still conserve the demand
+    scenario = build_portfolio_scenario(12)
+    configs = {"nlgd": replace(scenario.configs["nlgd_sigma_1"], max_iters=3000)}
+    (result,) = run_batch(scenario, [0], configs).runs
+    tol = default_feas_tol(scenario.problem.demand)
+    assert max(rec.feas_residual for rec in result.trace.records) <= tol
+    assert result.final_report.feasibility_residual <= tol
 
 
 def test_run_batch_rejects_negative_seed():

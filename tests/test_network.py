@@ -13,7 +13,6 @@ from lapgd.network import (
     component_count,
     cycle_graph,
     is_connected,
-    matrix_sqrt_psd,
     path_graph,
     read_edge_list,
     watts_strogatz,
@@ -158,9 +157,8 @@ def test_operator_invariants(seed):
     assert net.lambda_max == pytest.approx(np.linalg.norm(sqrt, 2) ** 2, rel=1e-10)
     ones = np.ones(15)
     assert np.linalg.norm(lap @ ones) <= 1e-10
-    # the root's kernel direction is computed numerically, so its residual
-    # scales like the square root of eigensolver error
-    assert np.linalg.norm(sqrt @ ones) <= 1e-6
+    # the kernel eigenvalue's root is exactly 0, so only rounding is left
+    assert np.linalg.norm(sqrt @ ones) <= 1e-13
     assert net.lambda_min_plus > 0.0
 
 
@@ -189,38 +187,26 @@ def test_agent_dim_recorded():
 # matrix square root
 
 
-def test_sqrt_of_diagonal():
-    root = matrix_sqrt_psd(np.diag([4.0, 9.0]))
-    assert np.allclose(root, np.diag([2.0, 3.0]), atol=1e-12)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_sqrt_round_trip(seed):
+    # random connected graphs: a spanning path plus random chords
     rng = np.random.default_rng(seed)
-    w = rng.normal(size=(6, 6))
-    mat = w @ w.T
-    root = matrix_sqrt_psd(mat)
-    assert np.allclose(root @ root, mat, atol=1e-10 * np.linalg.norm(mat))
+    chords = [(i, j) for i in range(6) for j in range(i + 2, 6) if rng.random() < 0.5]
+    net = build_laplacian(Graph(6, tuple((i, i + 1) for i in range(5)) + tuple(chords)))
+    root, lap = net.sqrt_laplacian, net.laplacian
+    assert np.allclose(root @ root, lap, atol=1e-10 * np.linalg.norm(lap))
     assert np.allclose(root, root.T, atol=1e-12)
     assert np.linalg.eigvalsh(root)[0] >= -1e-10
 
 
-def test_sqrt_clamps_tiny_negative_eigenvalue():
-    # eigenvalue -1e-15 sits within tol of zero and is treated as zero
-    q = np.array([[INV_SQRT2, -INV_SQRT2], [INV_SQRT2, INV_SQRT2]])
-    mat = q @ np.diag([1.0, -1e-15]) @ q.T
-    root = matrix_sqrt_psd(mat)
-    assert np.linalg.eigvalsh(root)[0] >= 0.0
+@pytest.mark.parametrize("scenario_seed", [12, 14])
+def test_sqrt_kernel_root_is_exactly_zero(scenario_seed):
+    # on these graphs the Laplacian's zero eigenvalue rounds to about
+    # +3e-16 * lambda_max; its root (~1.8e-8) would put S 1 near 3e-8
+    from lapgd.experiments import build_portfolio_scenario
 
-
-def test_sqrt_rejects_negative_definite():
-    with pytest.raises(ValueError, match="not PSD"):
-        matrix_sqrt_psd(np.diag([1.0, -0.5]))
-
-
-def test_sqrt_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        matrix_sqrt_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    net = build_portfolio_scenario(scenario_seed).net
+    assert np.abs(net.sqrt_laplacian @ np.ones(net.m)).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

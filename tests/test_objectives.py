@@ -1,4 +1,4 @@
-"""Local objective families, stacked evaluation, and derivative checks."""
+"""Objective families, stacked evaluation, and derivative checks."""
 
 import math
 from dataclasses import replace
@@ -7,25 +7,23 @@ import numpy as np
 import pytest
 
 from lapgd.objectives import (
-    LocalObjective,
-    ProblemInstance,
     estimate_global_min_sum,
-    estimate_min_value,
-    eval_global,
     fd_check,
     hessian_blocks,
     lipschitz_constants,
-    portfolio_objective,
     portfolio_problem,
-    quadratic_objective,
     quadratic_problem,
     sample_portfolio_params,
     sample_smart_grid_params,
-    smart_grid_objective,
     smart_grid_problem,
     stacked_gradient,
     stacked_value,
 )
+
+
+def _agent(problem, i):
+    # agent i's parameter arrays, cut from the problem's own
+    return tuple(p[i : i + 1] for p in problem.params)
 
 
 # ---------------------------------------------------------------------------
@@ -33,41 +31,27 @@ from lapgd.objectives import (
 
 
 def test_quadratic_scalar_frozen():
-    obj = quadratic_objective(2.0)
-    t = np.array([3.0])
-    assert obj.eval(t) == pytest.approx(9.0, abs=1e-14)
-    assert obj.grad(t) == pytest.approx([6.0], abs=1e-14)
-    assert np.allclose(obj.hess(t), [[2.0]], atol=1e-14)
-    assert obj.lip_grad == pytest.approx(2.0)
-    assert obj.lip_hess == 0.0
-    assert obj.min_value == pytest.approx(0.0, abs=1e-15)
+    problem = quadratic_problem([2.0, 4.0], demand=0.0)
+    theta = np.array([3.0, 1.0])
+    # 0.5 * 2 * 9 + 0.5 * 4 * 1
+    assert stacked_value(problem, theta) == pytest.approx(11.0, abs=1e-14)
+    assert stacked_gradient(problem, theta) == pytest.approx([6.0, 4.0], abs=1e-14)
+    assert np.allclose(hessian_blocks(problem, theta), [[[2.0]], [[4.0]]], atol=1e-14)
+    assert lipschitz_constants(problem) == (4.0, 0.0)
+    assert problem.global_min_sum == pytest.approx(0.0, abs=1e-15)
 
 
 def test_quadratic_with_linear_term():
     # f(t) = t^2 + t has minimum -1/4 at -1/2
-    obj = quadratic_objective(2.0, c=1.0)
-    assert obj.min_value == pytest.approx(-0.25, abs=1e-14)
-    assert obj.grad(np.array([-0.5])) == pytest.approx([0.0], abs=1e-14)
-
-
-def test_quadratic_matrix_form():
-    mat = np.array([[2.0, 0.0], [0.0, 5.0]])
-    obj = quadratic_objective(mat)
-    t = np.array([1.0, 1.0])
-    assert obj.eval(t) == pytest.approx(3.5, abs=1e-14)
-    assert np.allclose(obj.grad(t), [2.0, 5.0], atol=1e-14)
-    assert obj.lip_grad == pytest.approx(5.0)
-    assert obj.dim == 2
+    problem = quadratic_problem([2.0, 2.0], demand=-1.0, c_values=[1.0, 1.0])
+    assert problem.global_min_sum == pytest.approx(-0.5, abs=1e-14)
+    assert stacked_gradient(problem, np.array([-0.5, -0.5])) == pytest.approx([0.0, 0.0], abs=1e-14)
 
 
 def test_quadratic_rejects_indefinite():
-    with pytest.raises(ValueError, match="positive definite"):
-        quadratic_objective(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-def test_quadratic_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        quadratic_objective(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for a in ([1.0, -1.0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="positive"):
+            quadratic_problem(a, demand=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -75,119 +59,128 @@ def test_quadratic_rejects_asymmetric():
 
 
 def test_smart_grid_values_at_origin():
-    obj = smart_grid_objective(1.0, 2.0)
-    zero = np.zeros(1)
-    assert obj.eval(zero) == 0.0
-    assert np.array_equal(obj.grad(zero), [0.0])
-    # curvature 2a - 2b = -2: strict local maximum along the axis
-    assert np.allclose(obj.hess(zero), [[-2.0]], atol=1e-14)
+    problem = smart_grid_problem([1.0, 1.0], [2.0, 2.0])
+    zero = np.zeros(2)
+    assert stacked_value(problem, zero) == 0.0
+    assert np.array_equal(stacked_gradient(problem, zero), [0.0, 0.0])
+    # curvature 2a - 2b = -2: strict local maximum along each axis
+    assert np.allclose(hessian_blocks(problem, zero), -2.0, atol=1e-14)
 
 
 def test_smart_grid_frozen_point():
     # at t = 1 with a = 1, b = 2: f = 1 - 2 ln 2, f' = 2 - 4/2 = 0,
     # f'' = 2 - 4 (1 - 1)/4 = 2
-    obj = smart_grid_objective(1.0, 2.0)
-    one = np.ones(1)
-    assert obj.eval(one) == pytest.approx(1.0 - 2.0 * math.log(2.0), abs=1e-14)
-    assert obj.grad(one) == pytest.approx([0.0], abs=1e-14)
-    assert np.allclose(obj.hess(one), [[2.0]], atol=1e-14)
+    problem = smart_grid_problem([1.0, 1.0], [2.0, 2.0])
+    one = np.ones(2)
+    assert stacked_value(problem, one) == pytest.approx(2.0 * (1.0 - 2.0 * math.log(2.0)), abs=1e-14)
+    assert stacked_gradient(problem, one) == pytest.approx([0.0, 0.0], abs=1e-14)
+    assert np.allclose(hessian_blocks(problem, one), 2.0, atol=1e-14)
 
 
 def test_smart_grid_zero_penalty_is_quadratic():
-    obj = smart_grid_objective(1.5, 0.0)
-    t = np.array([2.0])
-    assert obj.eval(t) == pytest.approx(6.0, abs=1e-14)
-    assert obj.grad(t) == pytest.approx([6.0], abs=1e-14)
-    assert obj.min_value == 0.0
-    assert obj.lip_hess == 0.0
+    problem = smart_grid_problem([1.5, 1.5], [0.0, 0.0])
+    t = np.array([2.0, 2.0])
+    assert stacked_value(problem, t) == pytest.approx(12.0, abs=1e-14)
+    assert stacked_gradient(problem, t) == pytest.approx([6.0, 6.0], abs=1e-14)
+    assert problem.global_min_sum == 0.0
+    assert problem.lip_hess == 0.0
 
 
 def test_smart_grid_min_closed_form_matches_grid():
     # dense-grid oracle for the 1d minimum
     a, b = 1.0, 2.0
-    obj = smart_grid_objective(a, b)
+    problem = smart_grid_problem([a, a], [b, b])
     grid = np.linspace(-4.0, 4.0, 400001)
     grid_min = float(np.min(a * grid**2 - b * np.log1p(grid**2)))
     expected = b - a - b * math.log(b / a)
-    assert obj.min_value == pytest.approx(expected, abs=1e-14)
-    assert obj.min_value == pytest.approx(grid_min, abs=1e-8)
+    assert problem.global_min_sum == pytest.approx(2.0 * expected, abs=1e-14)
+    assert problem.global_min_sum / 2.0 == pytest.approx(grid_min, abs=1e-8)
 
 
 def test_smart_grid_min_scales_with_dim():
-    per_coord = smart_grid_objective(1.0, 3.0).min_value
-    assert smart_grid_objective(1.0, 3.0, dim=4).min_value == pytest.approx(
+    per_coord = smart_grid_problem([1.0, 1.0], [3.0, 3.0]).global_min_sum
+    assert smart_grid_problem([1.0, 1.0], [3.0, 3.0], agent_dim=4).global_min_sum == pytest.approx(
         4.0 * per_coord
     )
 
 
 def test_smart_grid_convex_when_penalty_small():
     # b <= a keeps curvature nonnegative everywhere: min stays at 0
-    obj = smart_grid_objective(2.0, 1.0)
-    assert obj.min_value == 0.0
+    problem = smart_grid_problem([2.0, 2.0], [1.0, 1.0])
+    assert problem.global_min_sum == 0.0
     grid = np.linspace(-6.0, 6.0, 2001)
-    curv = 2.0 * 2.0 - 2.0 * 1.0 * (1.0 - grid**2) / (1.0 + grid**2) ** 2
+    curv = hessian_blocks(problem, np.repeat(grid, 2).reshape(-1, 2))
     assert curv.min() >= 0.0
 
 
 def test_smart_grid_lip_bounds_hold_on_grid():
-    a, b = 0.8, 2.6
-    obj = smart_grid_objective(a, b)
+    a, b = np.array([0.8, 0.5]), np.array([2.6, 1.0])
+    problem = smart_grid_problem(a, b)
     grid = np.linspace(-8.0, 8.0, 20001)
-    second = 2.0 * a - 2.0 * b * (1.0 - grid**2) / (1.0 + grid**2) ** 2
-    third = 4.0 * b * grid * (3.0 - grid**2) / (1.0 + grid**2) ** 3
-    assert np.abs(second).max() <= obj.lip_grad + 1e-12
-    assert np.abs(third).max() <= obj.lip_hess + 1e-12
+    second = hessian_blocks(problem, np.repeat(grid, 2).reshape(-1, 2))[..., 0, 0]
+    third = 4.0 * b * (grid * (3.0 - grid**2) / (1.0 + grid**2) ** 3)[:, None]
+    assert np.abs(second).max() <= problem.lip_grad + 1e-12
+    assert np.abs(third).max() <= problem.lip_hess + 1e-12
+    assert problem.lip_grad == pytest.approx(2.0 * 0.8 + 2.0 * 2.6)
+    assert problem.lip_hess == pytest.approx(4.0 * 2.6)
 
 
 def test_smart_grid_validation():
     with pytest.raises(ValueError, match="a > 0"):
-        smart_grid_objective(0.0, 1.0)
+        smart_grid_problem([1.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="b >= 0"):
-        smart_grid_objective(1.0, -0.1)
+        smart_grid_problem([1.0, 1.0], [1.0, -0.1])
 
 
 # ---------------------------------------------------------------------------
 # portfolio family
 
 
+def _eyes(m, n):
+    return np.broadcast_to(np.eye(n), (m, n, n))
+
+
 def test_portfolio_values_at_origin():
-    mu = np.array([1.0, 0.0])
-    obj = portfolio_objective(mu, np.eye(2), risk_weight=0.5, log_weight=1.0)
-    zero = np.zeros(2)
-    assert obj.eval(zero) == 0.0
-    assert np.allclose(obj.grad(zero), -mu, atol=1e-14)
+    mu = np.array([[1.0, 0.0], [0.0, -2.0]])
+    problem = portfolio_problem(mu, _eyes(2, 2), [0.5, 0.5], [1.0, 1.0], demand=np.zeros(2))
+    zero = np.zeros(4)
+    assert stacked_value(problem, zero) == 0.0
+    assert np.allclose(stacked_gradient(problem, zero), -mu.reshape(-1), atol=1e-14)
     # 2 * 0.5 * I + 2 * 1 * I
-    assert np.allclose(obj.hess(zero), 3.0 * np.eye(2), atol=1e-14)
+    assert np.allclose(hessian_blocks(problem, zero), 3.0 * _eyes(2, 2), atol=1e-14)
 
 
 def test_portfolio_lipschitz_constants():
-    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-    obj = portfolio_objective(np.zeros(2), cov, risk_weight=1.5, log_weight=0.7)
-    top = np.linalg.eigvalsh(cov)[-1]
-    assert obj.lip_grad == pytest.approx(2.0 * 1.5 * top + 2.0 * 0.7, rel=1e-12)
-    assert obj.lip_hess == pytest.approx(4.0 * 0.7, rel=1e-12)
-    assert obj.min_value is None
+    cov = np.stack([np.array([[2.0, 0.5], [0.5, 1.0]]), np.eye(2)])
+    problem = portfolio_problem(np.zeros((2, 2)), cov, [1.5, 0.5], [0.7, 0.1], demand=np.zeros(2))
+    top = np.linalg.eigvalsh(cov[0])[-1]
+    assert problem.lip_grad == pytest.approx(2.0 * 1.5 * top + 2.0 * 0.7, rel=1e-12)
+    assert problem.lip_hess == pytest.approx(4.0 * 0.7, rel=1e-12)
+    assert problem.global_min_sum is None
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_portfolio_coercive_along_rays(seed):
     rng = np.random.default_rng(seed)
-    mu, cov, rw, lw = sample_portfolio_params(1, 3, rng)
-    obj = portfolio_objective(mu[0], cov[0], rw[0], lw[0])
-    direction = rng.normal(size=3)
+    mu, cov, rw, lw = sample_portfolio_params(2, 3, rng)
+    problem = portfolio_problem(mu, cov, rw, lw, demand=np.zeros(3))
+    direction = rng.normal(size=6)
     direction /= np.linalg.norm(direction)
-    values = [obj.eval(r * direction) for r in (1e1, 1e2, 1e3)]
+    values = stacked_value(problem, np.outer([1e1, 1e2, 1e3], direction))
     assert values[0] < values[1] < values[2]
     assert values[2] > 0.0
 
 
 def test_portfolio_validation():
+    mu, zero = np.zeros((2, 2)), np.zeros(2)
     with pytest.raises(ValueError, match="positive definite"):
-        portfolio_objective(np.zeros(2), np.diag([1.0, 0.0]), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        portfolio_objective(np.zeros(2), np.eye(2), -1.0, 1.0)
-    with pytest.raises(ValueError):
-        portfolio_objective(np.zeros(2), np.eye(2), 1.0, -0.5)
+        portfolio_problem(mu, np.stack([np.eye(2), np.diag([1.0, 0.0])]), [1.0, 1.0], [1.0, 1.0], zero)
+    with pytest.raises(ValueError, match="symmetric"):
+        portfolio_problem(mu, np.stack([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]), [1.0, 1.0], [1.0, 1.0], zero)
+    with pytest.raises(ValueError, match="risk_weight"):
+        portfolio_problem(mu, _eyes(2, 2), [1.0, -1.0], [1.0, 1.0], zero)
+    with pytest.raises(ValueError, match="log_weight"):
+        portfolio_problem(mu, _eyes(2, 2), [1.0, 1.0], [-0.5, 1.0], zero)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +190,8 @@ def test_portfolio_validation():
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_check_smart_grid(seed):
     rng = np.random.default_rng(seed)
-    obj = smart_grid_objective(rng.uniform(0.5, 1.5), rng.uniform(2.0, 3.0))
-    point = rng.normal(scale=1.5, size=1)
-    grad_err, hess_err = fd_check(obj, point)
+    problem = smart_grid_problem(rng.uniform(0.5, 1.5, size=2), rng.uniform(2.0, 3.0, size=2))
+    grad_err, hess_err = fd_check(problem, rng.normal(scale=1.5, size=2))
     assert grad_err <= 1e-7
     assert hess_err <= 1e-6
 
@@ -207,9 +199,10 @@ def test_fd_check_smart_grid(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_check_quadratic(seed):
     rng = np.random.default_rng(seed)
-    w = rng.normal(size=(3, 3))
-    obj = quadratic_objective(w @ w.T + 0.5 * np.eye(3), c=rng.normal(size=3))
-    grad_err, hess_err = fd_check(obj, rng.normal(size=3))
+    problem = quadratic_problem(
+        rng.uniform(0.5, 3.0, size=2), demand=np.zeros(3), c_values=rng.normal(size=(2, 3))
+    )
+    grad_err, hess_err = fd_check(problem, rng.normal(size=6))
     assert grad_err <= 1e-7
     assert hess_err <= 1e-6
 
@@ -217,26 +210,25 @@ def test_fd_check_quadratic(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_check_portfolio(seed):
     rng = np.random.default_rng(seed)
-    mu, cov, rw, lw = sample_portfolio_params(1, 3, rng)
-    obj = portfolio_objective(mu[0], cov[0], rw[0], lw[0])
-    grad_err, hess_err = fd_check(obj, rng.normal(size=3))
+    mu, cov, rw, lw = sample_portfolio_params(2, 3, rng)
+    problem = portfolio_problem(mu, cov, rw, lw, demand=np.zeros(3))
+    grad_err, hess_err = fd_check(problem, rng.normal(size=6))
     assert grad_err <= 1e-6
     assert hess_err <= 1e-6
 
 
 def test_fd_check_flags_wrong_gradient():
-    # negative control: a corrupted gradient must be caught
-    base = smart_grid_objective(1.0, 2.0)
-    broken = LocalObjective(
-        dim=1,
-        eval=base.eval,
-        grad=lambda t: 1.1 * base.grad(t),
-        hess=base.hess,
-        lip_grad=base.lip_grad,
-        lip_hess=base.lip_hess,
-    )
-    grad_err, _ = fd_check(broken, np.array([0.9]))
+    # negative controls: a corrupted gradient and a Hessian that leaks
+    # across agents must both be caught
+    base = smart_grid_problem([1.0, 1.0], [2.0, 2.0])
+    broken = replace(base, grad=lambda blocks, *params: 1.1 * base.grad(blocks, *params))
+    grad_err, _ = fd_check(broken, np.array([0.9, -0.3]))
     assert grad_err > 1e-3
+    coupled = replace(
+        base, grad=lambda blocks, *params: base.grad(blocks, *params) + 0.1 * blocks[..., ::-1, :]
+    )
+    _, hess_err = fd_check(coupled, np.array([0.9, -0.3]))
+    assert hess_err > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +258,36 @@ def test_quadratic_problem_with_linear_terms():
 
 
 def test_global_value_is_sum_of_locals():
+    # an agent's objective is the family's definition cut to that agent
     rng = np.random.default_rng(0)
     a, b = sample_smart_grid_params(4, rng)
     problem = smart_grid_problem(a, b)
     theta = _random_theta(rng, 4, 1)
     total = sum(
-        problem.objectives[i].eval(theta[i : i + 1]) for i in range(4)
+        float(problem.value(theta[i : i + 1].reshape(1, 1), *_agent(problem, i))) for i in range(4)
     )
     assert stacked_value(problem, theta) == pytest.approx(total, rel=1e-13)
+
+
+# Reference per-agent formulas, written independently of the package.
+
+
+def _quadratic_reference(t, a, c):
+    return 0.5 * a * (t @ t) + c @ t, a * t + c, a * np.eye(t.size)
+
+
+def _smart_grid_reference(t, a, b):
+    sq = t * t
+    value = a * (t @ t) - b * np.log1p(sq).sum()
+    grad = 2.0 * a * t - 2.0 * b * t / (1.0 + sq)
+    return value, grad, np.diag(2.0 * a - 2.0 * b * (1.0 - sq) / (1.0 + sq) ** 2)
+
+
+def _portfolio_reference(t, mu, cov, rw, lw):
+    sq = t * t
+    value = -mu @ t + rw * (t @ cov @ t) + lw * np.log1p(sq).sum()
+    grad = -mu + 2.0 * rw * (cov @ t) + 2.0 * lw * t / (1.0 + sq)
+    return value, grad, 2.0 * rw * cov + np.diag(2.0 * lw * (1.0 - sq) / (1.0 + sq) ** 2)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -281,60 +295,53 @@ def test_batch_matches_per_agent_loop(seed):
     rng = np.random.default_rng(seed)
     family = seed % 3
     if family == 0:
-        problem = quadratic_problem(
-            rng.uniform(0.5, 2.0, size=5), demand=2.0, c_values=rng.normal(size=5)
-        )
+        a, c = rng.uniform(0.5, 2.0, size=5), rng.normal(size=5)
+        problem = quadratic_problem(a, demand=2.0, c_values=c)
+        agents = [(_quadratic_reference, (a[i], c[i : i + 1])) for i in range(5)]
     elif family == 1:
         a, b = sample_smart_grid_params(5, rng)
         problem = smart_grid_problem(a, b)
+        agents = [(_smart_grid_reference, (a[i], b[i])) for i in range(5)]
     else:
         mu, cov, rw, lw = sample_portfolio_params(5, 3, rng)
         problem = portfolio_problem(mu, cov, rw, lw, demand=np.ones(3))
-    theta = _random_theta(rng, problem.m, problem.n)
-    blocks = theta.reshape(problem.m, problem.n)
+        agents = [(_portfolio_reference, (mu[i], cov[i], rw[i], lw[i])) for i in range(5)]
 
-    loop_value = sum(
-        problem.objectives[i].eval(blocks[i]) for i in range(problem.m)
-    )
-    loop_grad = np.concatenate(
-        [problem.objectives[i].grad(blocks[i]) for i in range(problem.m)]
-    )
-    loop_hess = np.stack(
-        [problem.objectives[i].hess(blocks[i]) for i in range(problem.m)]
-    )
+    def loop(theta):
+        blocks = theta.reshape(problem.m, problem.n)
+        parts = [ref(blocks[i], *params) for i, (ref, params) in enumerate(agents)]
+        return (
+            sum(part[0] for part in parts),
+            np.concatenate([part[1] for part in parts]),
+            np.stack([part[2] for part in parts]),
+        )
+
+    theta = _random_theta(rng, problem.m, problem.n)
+    assert stacked_gradient(problem, theta).shape == (problem.m * problem.n,)
+    assert hessian_blocks(problem, theta).shape == (problem.m, problem.n, problem.n)
+    loop_value, loop_grad, loop_hess = loop(theta)
     assert stacked_value(problem, theta) == pytest.approx(loop_value, rel=1e-12)
     assert np.allclose(stacked_gradient(problem, theta), loop_grad, atol=1e-12)
     assert np.allclose(hessian_blocks(problem, theta), loop_hess, atol=1e-12)
 
-    # a leading run axis: the vectorized and the per-agent paths agree,
-    # and each run gets exactly what it gets alone
+    # a leading run axis: each run matches the per-agent reference, and
+    # gets exactly what it gets alone
     stack = np.stack([theta, _random_theta(rng, problem.m, problem.n)])
-    loop = replace(problem, batch=None)
-    for evaluate in (stacked_value, stacked_gradient, hessian_blocks):
+    for index, evaluate in enumerate((stacked_value, stacked_gradient, hessian_blocks)):
         stacked = evaluate(problem, stack)
-        assert np.allclose(stacked, evaluate(loop, stack), rtol=1e-12, atol=1e-12)
+        assert stacked.shape[0] == 2
         for run_point, value in zip(stack, stacked):
+            assert np.allclose(value, loop(run_point)[index], rtol=1e-12, atol=1e-12)
             assert np.array_equal(value, evaluate(problem, run_point))
-        assert np.array_equal(evaluate(loop, stack)[0], evaluate(loop, stack[0]))
-
-
-def test_eval_global_shapes():
-    rng = np.random.default_rng(1)
-    mu, cov, rw, lw = sample_portfolio_params(4, 3, rng)
-    problem = portfolio_problem(mu, cov, rw, lw, demand=np.ones(3))
-    theta = _random_theta(rng, 4, 3)
-    out = eval_global(problem, theta)
-    assert out.gradient.shape == (12,)
-    assert out.hessian_blocks.shape == (4, 3, 3)
-    assert out.value == pytest.approx(stacked_value(problem, theta), rel=1e-13)
 
 
 def test_problem_validation():
     with pytest.raises(ValueError, match="m"):
         quadratic_problem([1.0], demand=1.0)
-    objs = (smart_grid_objective(1.0, 2.0), smart_grid_objective(1.0, 2.0, dim=2))
-    with pytest.raises(ValueError, match="dim"):
-        ProblemInstance(m=2, n=1, objectives=objs, demand=np.zeros(1))
+    with pytest.raises(ValueError, match="differ in length"):
+        smart_grid_problem([1.0, 1.0], [2.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="shapes disagree"):
+        portfolio_problem(np.zeros((2, 2)), _eyes(2, 3), [1.0, 1.0], [1.0, 1.0], np.zeros(2))
 
 
 def test_demand_broadcast():
@@ -378,19 +385,21 @@ def test_samplers_deterministic():
 
 
 def test_estimate_min_matches_closed_form_smart_grid():
-    obj = smart_grid_objective(1.0, 2.5)
-    assert estimate_min_value(obj) == pytest.approx(obj.min_value, abs=1e-8)
+    problem = smart_grid_problem([1.0, 0.7, 2.0], [2.5, 2.2, 1.0], agent_dim=2)
+    assert estimate_global_min_sum(problem) == pytest.approx(problem.global_min_sum, abs=1e-8)
 
 
 def test_estimate_min_matches_closed_form_quadratic():
-    obj = quadratic_objective(2.0, c=np.array([1.0, -2.0]))
-    assert estimate_min_value(obj) == pytest.approx(obj.min_value, abs=1e-8)
+    problem = quadratic_problem(
+        [2.0, 0.5], demand=np.zeros(2), c_values=[[1.0, -2.0], [0.3, 0.7]]
+    )
+    assert estimate_global_min_sum(problem) == pytest.approx(problem.global_min_sum, abs=1e-8)
 
 
 def test_estimate_global_min_sum():
     a = [1.0, 0.8]
     b = [2.0, 2.4]
     problem = smart_grid_problem(a, b)
-    expected = sum(smart_grid_objective(ai, bi).min_value for ai, bi in zip(a, b))
+    expected = sum(bi - ai - bi * math.log(bi / ai) for ai, bi in zip(a, b))
     assert problem.global_min_sum == pytest.approx(expected, abs=1e-12)
     assert estimate_global_min_sum(problem) == pytest.approx(expected, abs=1e-6)

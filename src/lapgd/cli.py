@@ -30,15 +30,9 @@ from .experiments import (
     sweep_sigma,
     write_trace_csv,
 )
-from .network import (
-    DisconnectedGraphError,
-    build_laplacian,
-    component_count,
-    read_edge_list,
-)
+from .network import build_laplacian, component_count, read_edge_list
 from .objectives import estimate_global_min_sum, lipschitz_constants, stacked_value
 from .optimizer import (
-    DivergenceError,
     InfeasibleStartError,
     curvature_tolerance,
     iteration_budget,
@@ -272,21 +266,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleStartError, DivergenceError) as exc:
+    except (InfeasibleStartError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (ConfigError, FileNotFoundError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except DisconnectedGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ dotted path, so a parse failure always says what to fix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -87,6 +87,20 @@ def build_problem(section: dict) -> ProblemInstance:
             "problem needs exactly one of problem.params or problem.param_seed"
         )
 
+    if family not in ("quadratic", "smart_grid", "portfolio"):
+        raise ConfigError(
+            f"problem.family must be quadratic, smart_grid or portfolio, got {family!r}"
+        )
+    try:
+        return _family_problem(family, m, n, demand, params, param_seed)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        field = "problem" if params is None else "problem.params"
+        raise ConfigError(f"{field}: {exc}") from exc
+
+
+def _family_problem(family, m, n, demand, params, param_seed) -> ProblemInstance:
     if family == "quadratic":
         if params is None:
             rng = np.random.default_rng(int(param_seed))
@@ -106,24 +120,19 @@ def build_problem(section: dict) -> ProblemInstance:
             b = np.asarray(_require(params, "b", "problem.params"), dtype=float)
         return smart_grid_problem(a, b, demand=demand, agent_dim=n)
 
-    if family == "portfolio":
-        if params is None:
-            rng = np.random.default_rng(int(param_seed))
-            mu, cov, rw, lw = sample_portfolio_params(m, n, rng)
-        else:
-            mu = np.asarray(_require(params, "mu", "problem.params"), dtype=float)
-            cov = np.asarray(_require(params, "cov", "problem.params"), dtype=float)
-            rw = np.asarray(
-                _require(params, "risk_weights", "problem.params"), dtype=float
-            )
-            lw = np.asarray(
-                _require(params, "log_weights", "problem.params"), dtype=float
-            )
-        return portfolio_problem(mu, cov, rw, lw, demand)
-
-    raise ConfigError(
-        f"problem.family must be quadratic, smart_grid or portfolio, got {family!r}"
-    )
+    if params is None:
+        rng = np.random.default_rng(int(param_seed))
+        mu, cov, rw, lw = sample_portfolio_params(m, n, rng)
+    else:
+        mu = np.asarray(_require(params, "mu", "problem.params"), dtype=float)
+        cov = np.asarray(_require(params, "cov", "problem.params"), dtype=float)
+        rw = np.asarray(
+            _require(params, "risk_weights", "problem.params"), dtype=float
+        )
+        lw = np.asarray(
+            _require(params, "log_weights", "problem.params"), dtype=float
+        )
+    return portfolio_problem(mu, cov, rw, lw, demand)
 
 
 def build_network(section: dict, agent_dim: int) -> tuple:
@@ -155,25 +164,7 @@ def build_network(section: dict, agent_dim: int) -> tuple:
 
 
 def build_run_config(section: dict) -> RunConfig:
-    _check_keys(
-        section,
-        (
-            "algorithm",
-            "step_size",
-            "max_iters",
-            "noise_variance",
-            "noise_sigma",
-            "seed",
-            "record_every",
-            "track_auxiliary",
-            "record_curvature",
-            "monitor_descent",
-            "stop_eps",
-            "stop_gamma",
-            "early_exit",
-        ),
-        "run",
-    )
+    _check_keys(section, [f.name for f in fields(RunConfig)] + ["noise_sigma"], "run")
     if "noise_variance" in section and "noise_sigma" in section:
         raise ConfigError("run.noise_variance and run.noise_sigma are exclusive")
     variance = float(section.get("noise_variance", 0.0))
@@ -187,7 +178,6 @@ def build_run_config(section: dict) -> RunConfig:
             noise_variance=variance,
             seed=int(section.get("seed", 0)),
             record_every=int(section.get("record_every", 1)),
-            track_auxiliary=bool(section.get("track_auxiliary", False)),
             record_curvature=bool(section.get("record_curvature", False)),
             monitor_descent=bool(section.get("monitor_descent", False)),
             stop_eps=section.get("stop_eps"),

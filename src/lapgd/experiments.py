@@ -18,7 +18,7 @@ reproduces every trace byte for byte.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -399,19 +399,9 @@ def summary_rows(batch: BatchResult) -> list:
 def config_to_dict(config: RunConfig) -> dict:
     """Manifest form of a config. The per-run seed is omitted: batch runs
     derive it from the batch seed and config position."""
-    return {
-        "algorithm": config.algorithm.value,
-        "step_size": config.step_size,
-        "max_iters": config.max_iters,
-        "noise_variance": config.noise_variance,
-        "record_every": config.record_every,
-        "track_auxiliary": config.track_auxiliary,
-        "record_curvature": config.record_curvature,
-        "monitor_descent": config.monitor_descent,
-        "stop_eps": config.stop_eps,
-        "stop_gamma": config.stop_gamma,
-        "early_exit": config.early_exit,
-    }
+    fields = asdict(config)
+    del fields["seed"]
+    return {**fields, "algorithm": config.algorithm.value}
 
 
 def export_traces(batch: BatchResult, out_dir) -> list:

@@ -42,14 +42,11 @@ class Graph:
     """Undirected simple graph on nodes 0..m-1.
 
     Edges are unordered pairs stored as (i, j) tuples with i < j, sorted
-    lexicographically. Self-loops and duplicates are rejected. When
-    ``connected`` is not None it is cross-checked against a traversal at
-    construction time.
+    lexicographically. Self-loops and duplicates are rejected.
     """
 
     m: int
     edges: tuple
-    connected: bool | None = None
 
     def __post_init__(self):
         if self.m < 2:
@@ -65,12 +62,6 @@ class Graph:
         if len(set(normalized)) != len(normalized):
             raise ValueError("duplicate edges")
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
-        if self.connected is not None:
-            actual = component_count(self) == 1
-            if actual != self.connected:
-                raise ValueError(
-                    f"connected flag {self.connected} contradicts traversal"
-                )
 
     @property
     def edge_count(self) -> int:
@@ -105,19 +96,19 @@ def is_connected(graph: Graph) -> bool:
 
 
 def path_graph(m: int) -> Graph:
-    return Graph(m, tuple((i, i + 1) for i in range(m - 1)), connected=True)
+    return Graph(m, tuple((i, i + 1) for i in range(m - 1)))
 
 
 def cycle_graph(m: int) -> Graph:
     if m < 3:
         raise ValueError(f"cycle needs at least 3 nodes, got m={m}")
     edges = tuple((i, (i + 1) % m) for i in range(m))
-    return Graph(m, edges, connected=True)
+    return Graph(m, edges)
 
 
 def complete_graph(m: int) -> Graph:
     edges = tuple((i, j) for i in range(m) for j in range(i + 1, m))
-    return Graph(m, edges, connected=True)
+    return Graph(m, edges)
 
 
 def watts_strogatz(m: int, k: int, p: float, seed: int) -> Graph:
@@ -177,7 +168,7 @@ def watts_strogatz(m: int, k: int, p: float, seed: int) -> Graph:
 
         graph = Graph(m, tuple(sorted(edge_set)))
         if is_connected(graph):
-            return Graph(m, graph.edges, connected=True)
+            return graph
 
     raise RuntimeError(
         f"no connected graph after {MAX_GRAPH_ATTEMPTS} attempts "

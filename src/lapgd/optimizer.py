@@ -9,16 +9,18 @@ keeps feasibility for the same reason while letting the iterate leave
 strict saddles.
 
 Both algorithms are exactly mirrored by plain (noisy) gradient descent
-on the auxiliary function psi(x) = F(theta_start + S-lift of x): running
-``aux_gd`` / ``aux_ngd`` reproduces the lap-weighted theta sequence
-identically, noise streams included. The aux routes exist as genuinely
-separate code paths so the equivalence can be tested rather than assumed.
+on the auxiliary function psi(x) = F(theta_start + S-lift of x): the
+single-step functions ``aux_gd_step`` / ``aux_ngd_step`` reproduce the
+lap-weighted theta sequence up to rounding, noise streams included. They
+are their own few lines of lifted recursion and share no update code
+with the lap-weighted steps, so the equivalence is tested rather than
+assumed.
 
-One engine, ``run_many``, advances a stack of runs that share a problem,
-a network and a record schedule in lockstep: one stacked gradient, one
-stacked lifted apply and one stacked update per step for the whole
-stack. ``run`` is the one-run case, and the single-step functions are
-one-run calls of the same update kernel.
+One engine, ``run_many``, advances a stack of lap-weighted runs that
+share a problem, a network and a record schedule in lockstep: one
+stacked gradient, one stacked lifted apply and one stacked update per
+step for the whole stack. ``run`` is the one-run case, and ``lgd_step``
+/ ``nlgd_step`` are one-run calls of the same update kernel.
 """
 
 from __future__ import annotations
@@ -49,12 +51,6 @@ NOISE_CHUNK = 1 << 14
 class Algorithm(str, Enum):
     LGD = "lgd"
     NLGD = "nlgd"
-    AUX_GD = "aux_gd"
-    AUX_NGD = "aux_ngd"
-
-
-NOISY = (Algorithm.NLGD, Algorithm.AUX_NGD)
-AUX = (Algorithm.AUX_GD, Algorithm.AUX_NGD)
 
 
 class InfeasibleStartError(ValueError):
@@ -92,8 +88,7 @@ class RunConfig:
     perturbation (must be 0 for the noiseless algorithms). ``seed``
     controls the perturbation stream; identical config and inputs give
     identical traces. Records land every ``record_every`` iterations.
-    ``track_auxiliary`` co-runs the auxiliary recursion alongside the
-    lap-weighted one. ``monitor_descent`` checks the noiseless
+    ``monitor_descent`` checks the noiseless
     sufficient-descent inequality at recorded steps. Setting ``stop_eps``
     and ``stop_gamma`` flags the first recorded iterate whose projected
     gradient and tangent curvature meet them; with ``early_exit`` the run
@@ -106,7 +101,6 @@ class RunConfig:
     noise_variance: float = 0.0
     seed: int = 0
     record_every: int = 1
-    track_auxiliary: bool = False
     record_curvature: bool = False
     monitor_descent: bool = False
     stop_eps: float | None = None
@@ -125,7 +119,7 @@ class RunConfig:
             raise ValueError(
                 f"noise_variance must be >= 0 and finite, got {self.noise_variance}"
             )
-        if self.noise_variance > 0 and self.algorithm not in NOISY:
+        if self.noise_variance > 0 and self.algorithm is not Algorithm.NLGD:
             raise ValueError(
                 f"noise_variance > 0 is invalid for {self.algorithm.value}"
             )
@@ -145,10 +139,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class IterateState:
-    """One iterate: the allocation, the iteration counter, and (when the
-    auxiliary recursion is live) the auxiliary point and its anchor.
-    Whenever ``aux_x`` is present, theta equals the anchor plus the
-    S-lift of aux_x up to rounding."""
+    """One iterate: the allocation, the iteration counter, and (for the
+    auxiliary steps) the auxiliary point and its anchor. Whenever
+    ``aux_x`` is present, theta equals the anchor plus the S-lift of aux_x
+    up to rounding."""
 
     theta: np.ndarray
     iteration: int
@@ -173,7 +167,6 @@ class Trace:
 
     records: tuple
     final_theta: np.ndarray
-    final_aux_x: np.ndarray | None
     iterations_run: int
     first_certified_iter: int | None = None
 
@@ -208,83 +201,53 @@ def sample_perturbation(
 
 
 # ---------------------------------------------------------------------------
-# the update kernel
+# the update kernel and the single steps
 
 
 def _advance(
     problem: ProblemInstance,
     net: NetworkOperator,
     theta: np.ndarray,
-    aux: np.ndarray | None,
-    anchor: np.ndarray | None,
     step: np.ndarray,
     kick: np.ndarray | None,
-    direct: int,
     noisy: slice,
-) -> tuple:
-    """One step of every run in a stack; returns the new (theta, aux).
+) -> np.ndarray:
+    """One lap-weighted step of every run in a stack; returns the new theta.
 
-    theta, aux and anchor hold one stacked point per row, and step is an
-    (R, 1) column of step sizes. The first ``direct`` rows take the
-    Laplacian-lifted update; the others run the auxiliary recursion and
-    re-derive theta from the anchor. The rows in ``noisy`` take the kicks
-    in ``kick``, one row each, lifted by S on the direct route and
-    unlifted on the auxiliary one. ``aux`` is None when the stack does not
-    carry the auxiliary point.
+    theta holds one stacked point per row and step is an (R, 1) column of
+    step sizes. The rows in ``noisy`` take the kicks in ``kick``, one row
+    each, lifted by S.
     """
     n = problem.n
-    grad = stacked_gradient(problem, theta)
-    new_theta = np.empty_like(theta)
-    if direct:
-        direction = apply_lifted(net.laplacian, grad[:direct], n)
-        if kick is not None and noisy.start < direct:
-            count = direct - noisy.start
-            direction[noisy.start:] += apply_lifted(net.sqrt_laplacian, kick[:count], n)
-        new_theta[:direct] = theta[:direct] - step[:direct] * direction
-    if aux is None:
-        return new_theta, None
-    aux_direction = apply_lifted(net.sqrt_laplacian, grad, n)
+    direction = apply_lifted(net.laplacian, stacked_gradient(problem, theta), n)
     if kick is not None:
-        aux_direction[noisy] += kick
-    aux = aux - step * aux_direction
-    if direct < len(theta):
-        new_theta[direct:] = anchor[direct:] + apply_lifted(
-            net.sqrt_laplacian, aux[direct:], n
-        )
-    return new_theta, aux
+        direction[noisy] += apply_lifted(net.sqrt_laplacian, kick, n)
+    return theta - step * direction
 
 
-def _single_step(
-    state: IterateState,
-    problem: ProblemInstance,
-    net: NetworkOperator,
-    step_size: float,
-    lifted: bool,
-    noise_variance: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> IterateState:
-    if lifted and (state.aux_x is None or state.anchor is None):
-        raise ValueError("auxiliary step needs a state carrying aux_x and anchor")
+def _direct_step(state, problem, net, step_size, noise_variance=0.0, rng=None):
+    if state.aux_x is not None:
+        raise ValueError("lap-weighted step needs a state without aux_x")
     kick = None
     if noise_variance > 0:
-        kick = sample_perturbation(problem.m, problem.n, noise_variance, rng)
-    theta, aux = _advance(
-        problem,
-        net,
-        state.theta[None],
-        None if state.aux_x is None else state.aux_x[None],
-        None if state.anchor is None else state.anchor[None],
-        np.array([[step_size]], dtype=float),
-        None if kick is None else kick[None],
-        0 if lifted else 1,
-        slice(0, 1),
+        kick = sample_perturbation(problem.m, problem.n, noise_variance, rng)[None]
+    theta = _advance(
+        problem, net, state.theta[None], np.array([[step_size]]), kick, slice(0, 1)
     )
-    return replace(
-        state,
-        theta=theta[0],
-        aux_x=None if aux is None else aux[0],
-        iteration=state.iteration + 1,
-    )
+    return replace(state, theta=theta[0], iteration=state.iteration + 1)
+
+
+def _lifted_step(state, problem, net, step_size, noise_variance=0.0, rng=None):
+    # x <- x - alpha (S grad F(theta) + xi), then theta = anchor + S x
+    if state.aux_x is None or state.anchor is None:
+        raise ValueError("auxiliary step needs a state carrying aux_x and anchor")
+    n = problem.n
+    direction = apply_lifted(net.sqrt_laplacian, stacked_gradient(problem, state.theta), n)
+    if noise_variance > 0:
+        direction += sample_perturbation(problem.m, n, noise_variance, rng)
+    aux = state.aux_x - step_size * direction
+    theta = state.anchor + apply_lifted(net.sqrt_laplacian, aux, n)
+    return replace(state, theta=theta, aux_x=aux, iteration=state.iteration + 1)
 
 
 def lgd_step(
@@ -293,9 +256,8 @@ def lgd_step(
     net: NetworkOperator,
     step_size: float,
 ) -> IterateState:
-    """One lap-weighted descent step; co-advances the auxiliary point when
-    it is tracked."""
-    return _single_step(state, problem, net, step_size, lifted=False)
+    """One lap-weighted descent step."""
+    return _direct_step(state, problem, net, step_size)
 
 
 def nlgd_step(
@@ -308,7 +270,7 @@ def nlgd_step(
 ) -> IterateState:
     """One noisy lap-weighted step: the gradient direction is lifted by
     the Laplacian, the Gaussian kick by its square root."""
-    return _single_step(state, problem, net, step_size, False, noise_variance, rng)
+    return _direct_step(state, problem, net, step_size, noise_variance, rng)
 
 
 def aux_gd_step(
@@ -319,7 +281,7 @@ def aux_gd_step(
 ) -> IterateState:
     """One plain gradient step on the auxiliary function: x moves against
     the S-lifted gradient, theta is re-derived from the anchor."""
-    return _single_step(state, problem, net, step_size, lifted=True)
+    return _lifted_step(state, problem, net, step_size)
 
 
 def aux_ngd_step(
@@ -332,7 +294,7 @@ def aux_ngd_step(
 ) -> IterateState:
     """Noisy auxiliary step; the kick enters unlifted, matching the noisy
     lap-weighted route through the change of variables."""
-    return _single_step(state, problem, net, step_size, True, noise_variance, rng)
+    return _lifted_step(state, problem, net, step_size, noise_variance, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +370,7 @@ def iteration_budget(
 def stack_key(config: RunConfig) -> tuple:
     """Runs whose configs have equal keys share a record schedule and can
     advance in one ``run_many`` stack."""
-    with_aux = config.algorithm in AUX or config.track_auxiliary
-    return (config.max_iters, config.record_every, with_aux)
+    return (config.max_iters, config.record_every)
 
 
 def _checked_start(
@@ -442,31 +403,24 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 class _Stack:
-    """The live runs of one ``run_many`` call, in stack order: direct
-    quiet, direct noisy, lifted noisy, lifted quiet. The direct runs, the
-    lifted runs and the noisy runs then each form one contiguous block of
-    rows, and stay so as finished runs leave."""
+    """The live runs of one ``run_many`` call, quiet runs before noisy
+    ones, so the noisy runs form one contiguous block of rows and stay so
+    as finished runs leave."""
 
-    def __init__(self, starts, configs, with_aux):
-        lifted = [c.algorithm in AUX for c in configs]
+    def __init__(self, starts, configs):
         noisy = [c.noise_variance > 0 for c in configs]
-        order = sorted(range(len(configs)), key=lambda i: (lifted[i], noisy[i] != lifted[i]))
+        order = sorted(range(len(configs)), key=lambda i: noisy[i])
         self.ids = np.array(order, dtype=int)
-        self.lifted = np.array(lifted)
         self.noisy_run = np.array(noisy)
         self.step_sizes = np.array([c.step_size for c in configs], dtype=float)
         self.theta = np.stack([starts[i] for i in order])
-        self.aux = np.zeros_like(self.theta) if with_aux else None
-        self.anchor = self.theta.copy() if with_aux else None
         self.kicks = None
         self._layout()
 
     def _layout(self):
-        lifted, noisy = self.lifted[self.ids], self.noisy_run[self.ids]
-        quiet_direct = int(np.count_nonzero(~lifted & ~noisy))
         self.step = self.step_sizes[self.ids][:, None]
-        self.direct = int(np.count_nonzero(~lifted))
-        self.noisy = slice(quiet_direct, quiet_direct + int(np.count_nonzero(noisy)))
+        quiet = len(self.ids) - int(np.count_nonzero(self.noisy_run[self.ids]))
+        self.noisy = slice(quiet, len(self.ids))
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows where mask is False."""
@@ -474,16 +428,9 @@ class _Stack:
             self.kicks = self.kicks[:, mask[self.noisy]]
         self.ids = self.ids[mask]
         self.theta = self.theta[mask]
-        if self.aux is not None:
-            self.aux = self.aux[mask]
-            self.anchor = self.anchor[mask]
         self._layout()
         if self.noisy.start == self.noisy.stop:
             self.kicks = None
-
-    def snapshot(self, pos: int) -> tuple:
-        aux = None if self.aux is None else self.aux[pos].copy()
-        return self.theta[pos].copy(), aux
 
 
 def run_many(
@@ -495,8 +442,8 @@ def run_many(
 ) -> list:
     """Run a stack of configured runs in lockstep, one start per config.
 
-    The configs must share ``stack_key``: the budget, the record stride
-    and whether the auxiliary point is carried. Everything else (the
+    The configs must share ``stack_key``: the budget and the record
+    stride. Everything else (the
     algorithm, step size, noise variance and seed, curvature records,
     the descent monitor, certification and early exit) is per run, and
     each run's trace is bitwise the one it would get alone: it keeps its
@@ -516,20 +463,17 @@ def run_many(
         return []
     keys = {stack_key(config) for config in configs}
     if len(keys) > 1:
-        raise ValueError(
-            "runs in one stack must share max_iters, record_every and "
-            "the auxiliary route"
-        )
-    max_iters, stride, with_aux = keys.pop()
+        raise ValueError("runs in one stack must share max_iters and record_every")
+    max_iters, stride = keys.pop()
     if theta_ref is not None:
         theta_ref = np.asarray(theta_ref, dtype=float)
 
     m, n = problem.m, problem.n
-    stack = _Stack(starts, configs, with_aux)
+    stack = _Stack(starts, configs)
     rngs = [np.random.default_rng(config.seed) for config in configs]
     slopes = [None] * len(configs)
     for i, config in enumerate(configs):
-        if config.monitor_descent and config.algorithm not in NOISY:
+        if config.monitor_descent and config.algorithm is Algorithm.LGD:
             lip_grad, _ = lipschitz_constants(problem)
             slopes[i] = -1.0 / config.step_size + net.lambda_max * lip_grad / 2.0
     records = [[] for _ in configs]
@@ -571,11 +515,9 @@ def run_many(
             return
         for pos in np.flatnonzero(done):
             i = stack.ids[pos]
-            theta, aux = stack.snapshot(pos)
             results[i] = Trace(
                 records=tuple(records[i]),
-                final_theta=theta,
-                final_aux_x=aux,
+                final_theta=stack.theta[pos].copy(),
                 iterations_run=t,
                 first_certified_iter=first_certified[i],
             )
@@ -609,11 +551,9 @@ def run_many(
             if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
                 failed[pos] = True
                 i = stack.ids[pos]
-                final, aux = stack.snapshot(pos)
                 partial = Trace(
                     records=tuple(records[i]),
-                    final_theta=final,
-                    final_aux_x=aux,
+                    final_theta=stack.theta[pos].copy(),
                     iterations_run=t,
                 )
                 results[i] = DivergenceError(t, partial)
@@ -656,20 +596,13 @@ def run_many(
             if offset == chunk_end:
                 chunk_start, chunk_end = offset, offset + draw_noise(span - offset)
             kick = None if stack.kicks is None else stack.kicks[offset - chunk_start]
-            stack.theta, stack.aux = _advance(
-                problem,
-                net,
-                stack.theta,
-                stack.aux,
-                stack.anchor,
-                stack.step,
-                kick,
-                stack.direct,
-                stack.noisy,
-            )
+            stack.theta = _advance(problem, net, stack.theta, stack.step, kick, stack.noisy)
             check_divergence(t + offset + 1)
             if offset == 0:
                 check_descent(t + 1)
+        # The stride's kicks are used up. Free them before the record
+        # point, whose curvature solve needs large contiguous blocks.
+        stack.kicks = kick = None
         t += span
     return results
 

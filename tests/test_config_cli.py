@@ -171,6 +171,21 @@ def test_invalid_algorithm_becomes_config_error():
         build_run_config({"algorithm": "sgd", "step_size": 0.1, "max_iters": 10})
 
 
+def test_cli_rejects_lifted_algorithm(tmp_path, capsys):
+    # the lifted route is a single-step reference, not a run option
+    text = QUADRATIC_YAML.replace("algorithm: lgd", "algorithm: aux_gd")
+    bad = write_config(tmp_path, text)
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "run:" in err and "aux_gd" in err
+
+
+def test_cli_rejects_track_auxiliary(tmp_path, capsys):
+    bad = write_config(tmp_path, QUADRATIC_YAML + "  track_auxiliary: true\n")
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "unknown field run.track_auxiliary" in capsys.readouterr().err
+
+
 def test_init_explicit_values(tmp_path):
     text = QUADRATIC_YAML + "init:\n  kind: explicit\n  values: [0.25, 0.75]\n"
     bundle = load_bundle(write_config(tmp_path, text))
@@ -379,6 +394,47 @@ def test_cli_params(tmp_path, capsys):
     assert float(values["step_size_bound"]) > 0.0
     assert float(values["curvature_tolerance"]) > 0.0
     assert int(values["iteration_budget"]) >= 1
+
+
+PORTFOLIO_PARAMS_YAML = textwrap.dedent(
+    """\
+    problem:
+      family: portfolio
+      m: 2
+      n: 1
+      demand: 1.0
+      params:
+        mu: [[0.1], [0.2]]
+        cov: [[[1.0]], [[2.0]]]
+        risk_weights: [1.0, 1.0]
+        log_weights: [0.5, 0.5]
+    network:
+      kind: path
+      m: 2
+    """
+)
+
+
+SMART_GRID_PARAMS_YAML = QUADRATIC_YAML.replace("family: quadratic", "family: smart_grid").replace(
+    "a: [1.0, 1.0]", "a: [2.0, 1.0]\n    b: [1.0, 1.0]"
+)
+
+
+@pytest.mark.parametrize(
+    "text, good, bad",
+    [
+        (PORTFOLIO_PARAMS_YAML, "risk_weights: [1.0, 1.0]", "risk_weights: [1.0]"),
+        (SMART_GRID_PARAMS_YAML, "a: [2.0, 1.0]", "a: [0.0, 1.0]"),
+    ],
+    ids=["portfolio_shapes", "smart_grid_a"],
+)
+def test_cli_params_names_bad_problem_params(tmp_path, capsys, text, good, bad):
+    # the builders' own messages name no config field
+    assert main(["params", str(write_config(tmp_path, text)), "--grad-tol", "0.1"]) == 0
+    capsys.readouterr()
+    cfg = write_config(tmp_path, text.replace(good, bad))
+    assert main(["params", str(cfg), "--grad-tol", "0.1"]) == 2
+    assert capsys.readouterr().err.startswith("error: problem.params: ")
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -25,8 +25,6 @@ from lapgd.optimizer import (
     DescentViolationError,
     DivergenceError,
     RunConfig,
-    aux_gd_step,
-    aux_ngd_step,
     initial_state,
     lgd_step,
     nlgd_step,
@@ -88,7 +86,6 @@ config_spec = st.fixed_dictionaries(
         "sigma": st.sampled_from([0.0, 0.05, 0.2]),
         "record_every": st.sampled_from([1, 4, 7]),
         "max_iters": st.sampled_from([9, 20]),
-        "track_auxiliary": st.booleans(),
         "record_curvature": st.booleans(),
         "stop_eps": st.sampled_from([None, 0.05, 0.5]),
         "early_exit": st.booleans(),
@@ -98,7 +95,7 @@ config_spec = st.fixed_dictionaries(
 
 
 def make_config(spec: dict, step: float) -> RunConfig:
-    noisy = spec["algorithm"] in (Algorithm.NLGD, Algorithm.AUX_NGD)
+    noisy = spec["algorithm"] is Algorithm.NLGD
     stop_eps = spec["stop_eps"]
     return RunConfig(
         algorithm=spec["algorithm"],
@@ -106,7 +103,6 @@ def make_config(spec: dict, step: float) -> RunConfig:
         max_iters=spec["max_iters"],
         noise_variance=spec["sigma"] ** 2 if noisy else 0.0,
         record_every=spec["record_every"],
-        track_auxiliary=spec["track_auxiliary"],
         record_curvature=spec["record_curvature"] or stop_eps is not None,
         monitor_descent=spec["monitor_descent"],
         stop_eps=stop_eps,
@@ -118,10 +114,6 @@ def make_config(spec: dict, step: float) -> RunConfig:
 def assert_same_trace(got, want):
     assert got.records == want.records
     assert np.array_equal(got.final_theta, want.final_theta)
-    if want.final_aux_x is None:
-        assert got.final_aux_x is None
-    else:
-        assert np.array_equal(got.final_aux_x, want.final_aux_x)
     assert got.iterations_run == want.iterations_run
     assert got.first_certified_iter == want.first_certified_iter
 
@@ -277,10 +269,6 @@ STEPPERS = {
     Algorithm.NLGD: lambda s, p, net, cfg, rng: nlgd_step(
         s, p, net, cfg.step_size, cfg.noise_variance, rng
     ),
-    Algorithm.AUX_GD: lambda s, p, net, cfg, rng: aux_gd_step(s, p, net, cfg.step_size),
-    Algorithm.AUX_NGD: lambda s, p, net, cfg, rng: aux_ngd_step(
-        s, p, net, cfg.step_size, cfg.noise_variance, rng
-    ),
 }
 
 
@@ -291,27 +279,23 @@ def test_stack_matches_step_by_step_runs(monkeypatch, chunk):
     monkeypatch.setattr(optimizer, "NOISE_CHUNK", chunk)
     problem, net, step = diverging_setup()
     configs = [
-        RunConfig(Algorithm.LGD, 0.4 * step, 37, record_every=10, track_auxiliary=True),
+        RunConfig(Algorithm.LGD, 0.4 * step, 37, record_every=10),
         RunConfig(Algorithm.NLGD, 0.3 * step, 37, noise_variance=0.02, seed=1,
-                  record_every=10, track_auxiliary=True),
-        RunConfig(Algorithm.AUX_GD, 0.5 * step, 37, record_every=10),
-        RunConfig(Algorithm.AUX_NGD, 0.2 * step, 37, noise_variance=0.05, seed=2,
                   record_every=10),
         RunConfig(Algorithm.NLGD, 0.3 * step, 37, noise_variance=0.0, seed=3,
-                  record_every=10, track_auxiliary=True),
+                  record_every=10),
     ]
     rng = np.random.default_rng(4)
     starts = [tangent_perturbation(6, 1, 0.4, rng) for _ in configs]
     outcomes = run_many(problem, net, starts, configs)
     for start, config, trace in zip(starts, configs, outcomes):
-        state = initial_state(start, with_aux=True)
+        state = initial_state(start, with_aux=False)
         noise = np.random.default_rng(config.seed)
         values = {0: stacked_value(problem, state.theta)}
         for _ in range(config.max_iters):
             state = STEPPERS[config.algorithm](state, problem, net, config, noise)
             values[state.iteration] = stacked_value(problem, state.theta)
         assert np.array_equal(trace.final_theta, state.theta)
-        assert np.array_equal(trace.final_aux_x, state.aux_x)
         assert [r.iteration for r in trace.records] == [0, 10, 20, 30, 37]
         assert [r.f_value for r in trace.records] == [
             values[r.iteration] for r in trace.records

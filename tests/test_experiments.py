@@ -144,7 +144,6 @@ def _synthetic_trace(f_values, stride=100):
     return Trace(
         records=records,
         final_theta=np.zeros(2),
-        final_aux_x=None,
         iterations_run=(len(f_values) - 1) * stride,
     )
 

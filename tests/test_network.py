@@ -53,13 +53,6 @@ def test_single_node_rejected():
         Graph(1, ())
 
 
-def test_connected_flag_cross_checked():
-    with pytest.raises(ValueError, match="contradicts"):
-        Graph(4, ((0, 1), (2, 3)), connected=True)
-    with pytest.raises(ValueError, match="contradicts"):
-        Graph(3, ((0, 1), (1, 2)), connected=False)
-
-
 def test_component_count():
     assert component_count(path_graph(5)) == 1
     assert component_count(Graph(4, ((0, 1), (2, 3)))) == 2

@@ -89,6 +89,21 @@ def test_aux_step_matches_direct_step_from_anchor():
     assert np.allclose(lifted.theta, direct.theta, atol=1e-15)
 
 
+def test_direct_step_rejects_lifted_state():
+    # a lap-weighted step would move theta away from anchor + S aux_x
+    problem, net = two_agent_quadratic()
+    lifted = initial_state(np.array([1.0, 0.0]), with_aux=True)
+    with pytest.raises(ValueError, match="aux_x"):
+        lgd_step(lifted, problem, net, 0.1)
+    with pytest.raises(ValueError, match="aux_x"):
+        nlgd_step(lifted, problem, net, 0.1, 0.01, np.random.default_rng(0))
+
+
+def test_run_config_rejects_lifted_algorithm():
+    with pytest.raises(ValueError, match="aux_gd"):
+        RunConfig(algorithm="aux_gd", step_size=0.1, max_iters=10)
+
+
 # ---------------------------------------------------------------------------
 # noise
 
@@ -176,18 +191,6 @@ def test_routes_agree_with_shared_noise():
         lifted = aux_ngd_step(lifted, problem, net, 0.05, 0.01, rng_b)
         worst = max(worst, float(np.linalg.norm(direct.theta - lifted.theta)))
     assert worst <= 1e-10
-
-
-def test_tracked_auxiliary_state_stays_coupled():
-    problem, net = two_agent_quadratic()
-    theta0 = np.array([1.0, 0.0])
-    cfg = RunConfig(Algorithm.LGD, step_size=0.1, max_iters=200, track_auxiliary=True)
-    trace = run(problem, net, theta0, cfg)
-    assert trace.final_aux_x is not None
-    from lapgd.network import apply_lifted
-
-    rebuilt = theta0 + apply_lifted(net.sqrt_laplacian, trace.final_aux_x, 1)
-    assert np.linalg.norm(trace.final_theta - rebuilt) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

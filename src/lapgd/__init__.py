@@ -61,12 +61,10 @@ from .optimizer import (
     variance_for_tolerance,
 )
 from .stationarity import (
-    AuxCertificate,
     Classification,
     Measurement,
     StationarityReport,
     aux_hessian,
-    aux_second_order_check,
     classify,
     default_feas_tol,
     feasibility_residual,
@@ -74,7 +72,6 @@ from .stationarity import (
     judge,
     measure,
     projected_grad_norm,
-    tangent_basis,
     tangent_min_curvature,
     transfer_certificate,
 )

@@ -18,7 +18,7 @@ reproduces every trace byte for byte.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -399,9 +399,9 @@ def summary_rows(batch: BatchResult) -> list:
 def config_to_dict(config: RunConfig) -> dict:
     """Manifest form of a config. The per-run seed is omitted: batch runs
     derive it from the batch seed and config position."""
-    fields = asdict(config)
-    del fields["seed"]
-    return {**fields, "algorithm": config.algorithm.value}
+    values = asdict(config)
+    del values["seed"]
+    return {**values, "algorithm": config.algorithm.value}
 
 
 def export_traces(batch: BatchResult, out_dir) -> list:
@@ -455,6 +455,17 @@ def export_traces(batch: BatchResult, out_dir) -> list:
     return written
 
 
+def _manifest_config(manifest_path, label: str, values: dict) -> RunConfig:
+    """A manifest's config; an unknown or missing key raises ValueError
+    naming it as configs.<label>.<field>."""
+    known = {f.name for f in fields(RunConfig)}
+    required = {f.name for f in fields(RunConfig) if f.default is MISSING}
+    for kind, names in (("unknown", set(values) - known), ("missing", required - set(values))):
+        if names:
+            raise ValueError(f"{manifest_path}: {kind} field configs.{label}.{min(names)}")
+    return RunConfig(**values)
+
+
 def replay_manifest(manifest_path, out_dir) -> BatchResult:
     """Rebuild the scenario named in a manifest, re-run its batch, and
     export to ``out_dir``; output files match the original byte for byte."""
@@ -465,7 +476,8 @@ def replay_manifest(manifest_path, out_dir) -> BatchResult:
         raise ValueError(f"unknown scenario {name!r} in manifest")
     scenario = SCENARIO_BUILDERS[name](int(manifest["scenario"]["seed"]))
     configs = {
-        label: RunConfig(**fields) for label, fields in manifest["configs"].items()
+        label: _manifest_config(manifest_path, label, values)
+        for label, values in manifest["configs"].items()
     }
     batch = run_batch(scenario, manifest["seeds"], configs)
     export_traces(batch, out_dir)

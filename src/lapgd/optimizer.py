@@ -31,14 +31,14 @@ from enum import Enum
 
 import numpy as np
 
-from .network import NetworkOperator, apply_lifted, block_sum
+from .network import NetworkOperator, apply_lifted
 from .objectives import (
     ProblemInstance,
     lipschitz_constants,
     stacked_gradient,
     stacked_value,
 )
-from .stationarity import tangent_min_curvature
+from .stationarity import feasibility_residual, projected_grad_norm, row_norms, tangent_min_curvature
 
 DIVERGENCE_NORM = 1e12
 START_FEAS_RTOL = 1e-10
@@ -337,13 +337,11 @@ def iteration_budget(
     lip_grad_aux: float,
     grad_tol: float,
     step_size: float,
-    rho: float | None = None,
 ) -> int:
     """Iterations sufficient to shrink the expected auxiliary gradient
     below grad_tol: ceil(gap / (L_aux * tol^2 * alpha^2)) with gap the
-    start-to-lower-bound objective gap. Passing ``rho`` switches to the
-    alternative form ceil(gap * rho^7 / (tol^2 * alpha)). Clamped to at
-    least 1; a negative gap (lower bound above the start value) raises.
+    start-to-lower-bound objective gap. Clamped to at least 1; a negative
+    gap (lower bound above the start value) raises.
     """
     gap = psi_start - min_sum
     if gap < 0:
@@ -352,14 +350,9 @@ def iteration_budget(
         )
     if grad_tol <= 0 or step_size <= 0:
         raise ValueError("grad_tol and step_size must be positive")
-    if rho is None:
-        if lip_grad_aux <= 0:
-            raise ValueError(f"lip_grad_aux must be positive, got {lip_grad_aux}")
-        denom = lip_grad_aux * grad_tol**2 * step_size**2
-    else:
-        if rho <= 0:
-            raise ValueError(f"rho must be positive, got {rho}")
-        denom = grad_tol**2 * step_size / rho**7
+    if lip_grad_aux <= 0:
+        raise ValueError(f"lip_grad_aux must be positive, got {lip_grad_aux}")
+    denom = lip_grad_aux * grad_tol**2 * step_size**2
     return max(math.ceil(gap / denom), 1)
 
 
@@ -387,7 +380,7 @@ def _checked_start(
         )
     if not np.isfinite(theta).all():
         raise ValueError("start has non-finite values")
-    residual = float(np.linalg.norm(block_sum(theta, problem.n) - problem.demand))
+    residual = feasibility_residual(theta, problem.demand)
     limit = START_FEAS_RTOL * (1.0 + float(np.linalg.norm(problem.demand)))
     if residual > limit:
         raise InfeasibleStartError(
@@ -395,11 +388,6 @@ def _checked_start(
             f"limit {limit:g}; the demand constraint must hold at entry"
         )
     return theta
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # One BLAS dot per row: the same value np.linalg.norm gives each row.
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 class _Stack:
@@ -482,11 +470,10 @@ def run_many(
 
     def record_all(t: int) -> None:
         theta = stack.theta
-        grad = stacked_gradient(problem, theta)
         values = stacked_value(problem, theta)
-        feas = _row_norms(block_sum(theta, n) - problem.demand)
-        proj = _row_norms(apply_lifted(net.sqrt_laplacian, grad, n))
-        dist = None if theta_ref is None else _row_norms(theta - theta_ref)
+        feas = feasibility_residual(theta, problem.demand)
+        proj = projected_grad_norm(theta, problem, net)
+        dist = None if theta_ref is None else row_norms(theta - theta_ref)
         wants = np.array([configs[i].record_curvature for i in stack.ids])
         curvature = iter(())
         if wants.any():

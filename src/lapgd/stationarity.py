@@ -6,7 +6,9 @@ projected gradient ||S (x) I_n grad F(theta)|| with S the Laplacian
 square root: it vanishes exactly when the local gradients agree across
 agents, which is the constrained first-order condition. Second-order
 quality is measured by the smallest curvature of the Hessian over the
-tangent space T = {d : blocks of d sum to zero}.
+tangent space T = {d : blocks of d sum to zero}, which a Householder
+reflector turns into a closed form in the per-agent Hessian blocks: no
+basis of T is stored.
 
 The auxiliary route certifies in the substituted coordinates instead:
 the auxiliary gradient is S-lifted and the auxiliary Hessian is the
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,49 +55,33 @@ class StationarityReport:
     feas_tol: float
 
 
-@dataclass(frozen=True)
-class AuxCertificate:
-    """Auxiliary-coordinate check: gradient norm, smallest Hessian
-    eigenvalue, and whether both met their tolerances."""
-
-    grad_norm: float
-    min_eigenvalue: float
-    passed: bool
-
-
 def default_feas_tol(demand: np.ndarray) -> float:
     return 1e-8 * (1.0 + float(np.linalg.norm(demand)))
 
 
-def feasibility_residual(theta: np.ndarray, demand: np.ndarray) -> float:
-    """|| sum of blocks - demand ||; the block size is len(demand)."""
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis. One BLAS dot per row, so each
+    value is the one np.linalg.norm gives that row alone."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]).reshape(rows.shape[:-1])
+
+
+def feasibility_residual(theta: np.ndarray, demand: np.ndarray):
+    """|| sum of blocks - demand ||; the block size is len(demand). A
+    leading run axis on theta gives one value per run."""
+    theta = np.asarray(theta, dtype=float)
     demand = np.atleast_1d(np.asarray(demand, dtype=float))
-    return float(np.linalg.norm(block_sum(np.asarray(theta, dtype=float), demand.shape[0]) - demand))
+    norms = row_norms(block_sum(theta, demand.shape[0]) - demand)
+    return float(norms) if theta.ndim == 1 else norms
 
 
-def projected_grad_norm(theta: np.ndarray, problem: ProblemInstance, net: NetworkOperator) -> float:
+def projected_grad_norm(theta: np.ndarray, problem: ProblemInstance, net: NetworkOperator):
+    """||S (x) I_n grad F(theta)||; a leading run axis on theta gives one
+    value per run."""
+    theta = np.asarray(theta, dtype=float)
     grad = stacked_gradient(problem, theta)
-    return float(np.linalg.norm(apply_lifted(net.sqrt_laplacian, grad, problem.n)))
-
-
-@lru_cache(maxsize=32)
-def tangent_basis(m: int, n: int) -> np.ndarray:
-    """Orthonormal basis of the zero-block-sum subspace, shape (mn, (m-1)n).
-
-    Columns are the lifted Helmert vectors: column block j has weight
-    1/sqrt(j(j+1)) on the first j agents and -j/sqrt(j(j+1)) on agent j,
-    each tensored with I_n. Computed once per (m, n) and cached.
-    """
-    if m < 2 or n < 1:
-        raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    helmert = np.zeros((m, m - 1))
-    for j in range(1, m):
-        scale = 1.0 / math.sqrt(j * (j + 1))
-        helmert[:j, j - 1] = scale
-        helmert[j, j - 1] = -j * scale
-    basis = np.kron(helmert, np.eye(n))
-    basis.flags.writeable = False
-    return basis
+    norms = row_norms(apply_lifted(net.sqrt_laplacian, grad, problem.n))
+    return float(norms) if theta.ndim == 1 else norms
 
 
 # Stacked curvature solves go in groups of runs whose restricted Hessians
@@ -105,38 +90,42 @@ def tangent_basis(m: int, n: int) -> np.ndarray:
 CURVATURE_GROUP = 1 << 15
 
 
-def _lowest_restricted(points: np.ndarray, problem: ProblemInstance, q: np.ndarray) -> np.ndarray:
-    m, n = problem.m, problem.n
-    blocks = hessian_blocks(problem, points)
-    hq = (blocks @ q.reshape(m, n, -1)).reshape((len(points),) + q.shape)
-    restricted = q.T @ hq
-    del hq
-    restricted += np.swapaxes(restricted, -1, -2)
-    restricted *= 0.5
-    return np.linalg.eigvalsh(restricted)[:, 0]
-
-
 def tangent_min_curvature(theta: np.ndarray, problem: ProblemInstance):
     """Smallest eigenvalue of the Hessian restricted to the tangent space.
 
-    The Hessian is block diagonal, so the restriction Q' (H Q) is formed
-    from the per-agent Hessians and the cached basis by two BLAS products,
-    then solved densely. A leading run axis on theta gives one value per
-    run (an array) from stacked solves; a single point gives a float.
+    With u = ones / sqrt(m) and v = (u - e_m) / ||u - e_m||, the
+    Householder reflector W = I - 2 v v' maps u to e_m, so its first m - 1
+    columns, lifted by I_n, are an orthonormal basis of T. Block (i, j)
+    of (W (x) I) H (W (x) I) is delta_ij H_i + v_i v_j (4K - 2H_i - 2H_j)
+    with K = sum_k v_k^2 H_k (Golub, SIAM Rev. 1973), and its leading
+    m - 1 block rows and columns, formed in O(m^2 n^2), are solved
+    densely. Needs m >= 2. A leading run axis on theta gives one value per
+    run (an array), each bitwise its one-run value; a point gives a float.
     """
     theta = np.asarray(theta, dtype=float)
     m, n = problem.m, problem.n
     if theta.ndim == 0 or theta.shape[-1] != m * n:
         raise ValueError(f"stacked point has shape {theta.shape}, expected (..., {m * n})")
-    q = tangent_basis(m, n)
-    points = theta.reshape(-1, m * n)
-    group = max(1, CURVATURE_GROUP // q.shape[1] ** 2)
-    lowest = np.concatenate(
-        [
-            _lowest_restricted(points[k : k + group], problem, q)
-            for k in range(0, len(points), group)
-        ]
-    )
+    if m < 2:
+        raise ValueError(f"the tangent space needs m >= 2 agents, got m={m}")
+    blocks = hessian_blocks(problem, theta.reshape(-1, m * n))
+    blocks = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
+    s = 1.0 / math.sqrt(m)
+    weights = np.full(m, s * s / (2.0 * (1.0 - s)))  # v_k^2
+    weights[-1] = (1.0 - s) / 2.0
+    k = np.matmul(weights, blocks.reshape(-1, m, n * n)).reshape(-1, 1, n, n)
+    # v_i v_j = weights[0] for i, j < m: block (i, j) is delta_ij H_i + g_i + g_j
+    g = (2.0 * weights[0]) * (k - blocks[:, :-1])
+    diag = np.arange(m - 1)
+    size = (m - 1) * n
+    group = max(1, CURVATURE_GROUP // size**2)
+    lowest = np.empty(len(blocks))
+    for start in range(0, len(blocks), group):
+        part = slice(start, start + group)
+        # restricted[r, i, a, j, b] is entry (a, b) of block (i, j)
+        restricted = g[part, :, :, None, :] + np.swapaxes(g[part], 1, 2)[:, None]
+        restricted[:, diag, :, diag, :] += np.swapaxes(blocks[part, :-1], 0, 1)
+        lowest[part] = np.linalg.eigvalsh(restricted.reshape(-1, size, size))[:, 0]
     return float(lowest[0]) if theta.ndim == 1 else lowest.reshape(theta.shape[:-1])
 
 
@@ -212,29 +201,6 @@ def aux_hessian(theta: np.ndarray, problem: ProblemInstance, net: NetworkOperato
     mn = problem.m * problem.n
     sandwich = np.einsum("ik,kj,kab->iajb", s, s, blocks).reshape(mn, mn)
     return (sandwich + sandwich.T) / 2.0
-
-
-def aux_second_order_check(
-    aux_x: np.ndarray,
-    theta_start: np.ndarray,
-    problem: ProblemInstance,
-    net: NetworkOperator,
-    grad_tol: float,
-    curv_tol: float,
-) -> AuxCertificate:
-    """Certify a point of the auxiliary problem anchored at theta_start.
-
-    Evaluates at theta = theta_start + S-lift of aux_x: the auxiliary
-    gradient norm is the projected gradient there and the auxiliary
-    Hessian is the S H S sandwich. Passes when the norm is within
-    grad_tol and the smallest eigenvalue is at least -curv_tol.
-    """
-    theta_start = np.asarray(theta_start, dtype=float)
-    theta = theta_start + apply_lifted(net.sqrt_laplacian, np.asarray(aux_x, dtype=float), problem.n)
-    grad_norm = projected_grad_norm(theta, problem, net)
-    min_eig = float(np.linalg.eigvalsh(aux_hessian(theta, problem, net))[0])
-    passed = grad_norm <= grad_tol and min_eig >= -curv_tol
-    return AuxCertificate(grad_norm=grad_norm, min_eigenvalue=min_eig, passed=passed)
 
 
 def transfer_certificate(grad_tol: float, curv_tol: float, net: NetworkOperator) -> tuple:

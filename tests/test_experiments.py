@@ -373,3 +373,31 @@ def test_replay_reproduces_bytes(tmp_path):
     assert names == sorted(p.name for p in second.iterdir())
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def edited_manifest(tmp_path, edit):
+    """Export a short batch and apply ``edit`` to its lgd manifest config."""
+    sc = truncated(build_smart_grid_scenario(0), max_iters=100)
+    export_traces(run_batch(sc, [0], sc.configs), tmp_path / "first")
+    path = tmp_path / "first" / "manifest.yaml"
+    manifest = yaml.safe_load(path.read_text())
+    edit(manifest["configs"]["lgd"])
+    path.write_text(yaml.safe_dump(manifest, sort_keys=False))
+    return path
+
+
+def test_replay_names_unknown_manifest_field(tmp_path):
+    def misspell(config):
+        config["record_curvatur"] = config.pop("record_curvature")
+
+    path = edited_manifest(tmp_path, misspell)
+    with pytest.raises(ValueError, match="unknown field configs.lgd.record_curvatur") as err:
+        replay_manifest(path, tmp_path / "replay")
+    assert str(path) in str(err.value)
+
+
+def test_replay_names_missing_manifest_field(tmp_path):
+    path = edited_manifest(tmp_path, lambda config: config.pop("step_size"))
+    with pytest.raises(ValueError, match="missing field configs.lgd.step_size") as err:
+        replay_manifest(path, tmp_path / "replay")
+    assert str(path) in str(err.value)

@@ -441,15 +441,8 @@ def test_iteration_budget_frozen():
     assert iteration_budget(3.0, 3.0, 1.0, 0.1, 0.1) == 1
 
 
-def test_iteration_budget_contraction_form():
-    # gap * rho^7 / (tol^2 * alpha) with rho = 2: 128
-    assert iteration_budget(1.0, 0.0, 1.0, 1.0, 1.0, rho=2.0) == 128
-
-
 def test_iteration_budget_validation():
     with pytest.raises(ValueError, match="below the lower bound"):
         iteration_budget(0.0, 1.0, 1.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         iteration_budget(1.0, 0.0, -1.0, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        iteration_budget(1.0, 0.0, 1.0, 0.1, 0.1, rho=-2.0)

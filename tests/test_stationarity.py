@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from lapgd.network import build_laplacian, cycle_graph, path_graph, watts_strogatz
 from lapgd.objectives import (
+    hessian_blocks,
     portfolio_problem,
     quadratic_problem,
     sample_portfolio_params,
@@ -14,13 +18,11 @@ from lapgd.objectives import (
 from lapgd.stationarity import (
     Classification,
     aux_hessian,
-    aux_second_order_check,
     classify,
     default_feas_tol,
     feasibility_residual,
     format_report,
     projected_grad_norm,
-    tangent_basis,
     tangent_min_curvature,
     transfer_certificate,
 )
@@ -74,20 +76,6 @@ def test_projected_grad_vanishes_on_consensus_gradient():
 # tangent space
 
 
-@pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (5, 3)])
-def test_tangent_basis_orthonormal(m, n):
-    basis = tangent_basis(m, n)
-    assert basis.shape == (m * n, (m - 1) * n)
-    assert np.allclose(basis.T @ basis, np.eye((m - 1) * n), atol=1e-12)
-    # every column has zero block sum, i.e. moves along the constraint set
-    sums = basis.reshape(m, n, -1).sum(axis=0)
-    assert np.abs(sums).max() <= 1e-12
-
-
-def test_tangent_basis_cached():
-    assert tangent_basis(4, 2) is tangent_basis(4, 2)
-
-
 def test_tangent_min_curvature_saddle_frozen():
     # both local Hessians are -2 at the origin, so every tangent
     # direction has curvature -2
@@ -121,6 +109,48 @@ def test_tangent_min_curvature_stacked_equals_single(n):
     assert stacked.shape == (4,)
     for point, value in zip(points, stacked):
         assert value == tangent_min_curvature(point, problem)
+
+
+def dense_tangent_curvature(blocks):
+    # lowest eigenvalue of Q' H Q, with Q an orthonormal basis of the
+    # zero-block-sum subspace completed from the lifted ones by QR
+    m, n, _ = blocks.shape
+    ones = np.kron(np.ones((m, 1)), np.eye(n))
+    q = np.linalg.qr(ones, mode="complete")[0][:, n:]
+    return np.linalg.eigvalsh(q.T @ block_diag(*blocks) @ q)[0]
+
+
+def sampled_problem(family, m, n, rng):
+    if family == "quadratic":
+        return quadratic_problem(
+            rng.uniform(0.5, 2.0, size=m), rng.normal(size=n), rng.normal(size=(m, n))
+        )
+    if family == "smart_grid":
+        a, b = sample_smart_grid_params(m, rng)
+        return smart_grid_problem(a, b, demand=float(rng.normal()), agent_dim=n)
+    mu, cov, rw, lw = sample_portfolio_params(m, n, rng)
+    return portfolio_problem(mu, cov, rw, lw, demand=rng.normal(size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["quadratic", "smart_grid", "portfolio"]),
+    m=st.integers(2, 12),
+    n=st.integers(1, 4),
+    runs=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_tangent_min_curvature_matches_dense_oracle(family, m, n, runs, seed):
+    rng = np.random.default_rng(seed)
+    problem = sampled_problem(family, m, n, rng)
+    points = rng.normal(size=(runs, m * n))
+    stacked = tangent_min_curvature(points, problem)
+    assert stacked.shape == (runs,)
+    for point, value in zip(points, stacked):
+        assert value == tangent_min_curvature(point, problem)
+        blocks = hessian_blocks(problem, point)
+        oracle = dense_tangent_curvature(blocks)
+        assert abs(value - oracle) <= 1e-10 * (1.0 + np.abs(blocks).max())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -282,25 +312,6 @@ def test_aux_hessian_matches_fd_oracle(seed):
         assert np.allclose(col, sandwich[:, j], atol=1e-5)
 
 
-def test_aux_check_passes_at_optimum():
-    problem = quadratic_problem([1.0, 1.0], demand=1.0)
-    cert = aux_second_order_check(
-        np.zeros(2), np.array([0.5, 0.5]), problem, two_agent_net(), 1e-8, 1e-8
-    )
-    assert cert.passed
-    assert cert.grad_norm <= 1e-10
-    assert cert.min_eigenvalue >= -1e-10
-
-
-def test_aux_check_fails_at_saddle():
-    problem = smart_grid_problem([1.0, 1.0], [2.0, 2.0])
-    cert = aux_second_order_check(
-        np.zeros(2), np.zeros(2), problem, two_agent_net(), 1e-8, 1.0
-    )
-    assert not cert.passed
-    assert cert.min_eigenvalue == pytest.approx(-4.0, abs=1e-10)
-
-
 def test_transfer_certificate_frozen():
     # curvature tolerance weakens by the spectral gap (here 2)
     eps, gamma = transfer_certificate(0.1, 0.3, two_agent_net())
@@ -316,21 +327,8 @@ def test_transfer_certificate_rejects_negative():
 def _random_problem(rng):
     m = int(rng.integers(2, 7))
     n = int(rng.integers(1, 4))
-    family = int(rng.integers(3))
-    if family == 0:
-        problem = quadratic_problem(
-            rng.uniform(0.5, 2.0, size=m),
-            demand=float(rng.normal()),
-            c_values=rng.normal(size=m),
-        )
-        n = 1
-    elif family == 1:
-        a, b = sample_smart_grid_params(m, rng)
-        problem = smart_grid_problem(a, b, demand=float(rng.normal()), agent_dim=n)
-    else:
-        mu, cov, rw, lw = sample_portfolio_params(m, n, rng)
-        problem = portfolio_problem(mu, cov, rw, lw, demand=rng.normal(size=n))
-    return problem
+    family = ("quadratic", "smart_grid", "portfolio")[int(rng.integers(3))]
+    return sampled_problem(family, m, 1 if family == "quadratic" else n, rng)
 
 
 def _feasible_point(problem, rng, scale=0.8):

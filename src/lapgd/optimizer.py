@@ -587,8 +587,8 @@ def run_many(
             check_divergence(t + offset + 1)
             if offset == 0:
                 check_descent(t + 1)
-        # The stride's kicks are used up. Free them before the record
-        # point, whose curvature solve needs large contiguous blocks.
+        # The stride's kicks are used up; free them now rather than when
+        # the next stride draws its own.
         stack.kicks = kick = None
         t += span
     return results

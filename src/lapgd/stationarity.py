@@ -6,9 +6,13 @@ projected gradient ||S (x) I_n grad F(theta)|| with S the Laplacian
 square root: it vanishes exactly when the local gradients agree across
 agents, which is the constrained first-order condition. Second-order
 quality is measured by the smallest curvature of the Hessian over the
-tangent space T = {d : blocks of d sum to zero}, which a Householder
-reflector turns into a closed form in the per-agent Hessian blocks: no
-basis of T is stored.
+tangent space T = {d : blocks of d sum to zero}. No basis of T is
+formed: inertia counts of the bordered matrix
+[[H - mu I, 1 (x) I], [1' (x) I, 0]], taken through n x n Schur
+complements of the per-agent eigendecompositions (one row larger per
+pole a trial point sits close to), bracket that curvature between the
+interlacing bounds lambda_1(H) and lambda_{n+1}(H), and the lower end of
+the bracket is reported.
 
 The auxiliary route certifies in the substituted coordinates instead:
 the auxiliary gradient is S-lifted and the auxiliary Hessian is the
@@ -20,7 +24,6 @@ smallest positive Laplacian eigenvalue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,23 +87,38 @@ def projected_grad_norm(theta: np.ndarray, problem: ProblemInstance, net: Networ
     return float(norms) if theta.ndim == 1 else norms
 
 
-# Stacked curvature solves go in groups of runs whose restricted Hessians
-# hold at most this many values together, so memory stays near that of
-# a single solve however many runs a stack has.
-CURVATURE_GROUP = 1 << 15
+# The first pass counts at seven evenly spaced points of the interlacing
+# bracket, each later one at centre + spread * _SIDES.
+_FIRST = np.arange(1, 8) / 8.0
+_SIDES = np.array([-1.0, 0.0, 1.0])
 
 
 def tangent_min_curvature(theta: np.ndarray, problem: ProblemInstance):
-    """Smallest eigenvalue of the Hessian restricted to the tangent space.
+    """Smallest eigenvalue of the Hessian restricted to the tangent space,
+    returned as the lower end of a bracket proven by inertia counts.
 
-    With u = ones / sqrt(m) and v = (u - e_m) / ||u - e_m||, the
-    Householder reflector W = I - 2 v v' maps u to e_m, so its first m - 1
-    columns, lifted by I_n, are an orthonormal basis of T. Block (i, j)
-    of (W (x) I) H (W (x) I) is delta_ij H_i + v_i v_j (4K - 2H_i - 2H_j)
-    with K = sum_k v_k^2 H_k (Golub, SIAM Rev. 1973), and its leading
-    m - 1 block rows and columns, formed in O(m^2 n^2), are solved
-    densely. Needs m >= 2. A leading run axis on theta gives one value per
-    run (an array), each bitwise its one-run value; a point gives a float.
+    The count: with H_i = V_i diag(d_i) V_i' the per-agent blocks, the
+    number of restricted eigenvalues below mu is neg(H - mu I) +
+    pos(M(mu)) - n, where M(mu) = sum_i V_i diag(1 / (d_i - mu)) V_i' is
+    the n x n Schur complement of the bordered matrix
+    [[H - mu I, 1 (x) I], [1' (x) I, 0]] (Haynsworth inertia additivity).
+    Poles d within (n - 1) max|d| / (256 m) of mu, and any pole mu sits
+    on, are kept in the bordered matrix instead of being eliminated (see
+    ``_count_and_step``): with n >= 2 a 1 / (d - mu) one ulp from its pole
+    swamps the other eigenvalues of M in rounding, and the count there is
+    noise. With n = 1 only a pole mu sits on is kept.
+
+    The search: interlacing puts the smallest restricted eigenvalue in
+    [lambda_1(H), lambda_{n+1}(H)]. A first pass counts at seven evenly
+    spaced points of it; each later pass counts at three points around a
+    Halley step on the eigenvalue that crosses zero at the root, spaced by
+    the step's expected error, or quarters the bracket when they do not
+    fit in it. Every count shrinks the bracket. It stops at a width of
+    4 ulp of max|d| and returns the lower end, so no curvature is reported
+    that the counts did not prove.
+
+    Needs m >= 2. A leading run axis on theta gives one value per run (an
+    array), each bitwise its one-run value; a point gives a float.
     """
     theta = np.asarray(theta, dtype=float)
     m, n = problem.m, problem.n
@@ -110,23 +128,134 @@ def tangent_min_curvature(theta: np.ndarray, problem: ProblemInstance):
         raise ValueError(f"the tangent space needs m >= 2 agents, got m={m}")
     blocks = hessian_blocks(problem, theta.reshape(-1, m * n))
     blocks = 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
-    s = 1.0 / math.sqrt(m)
-    weights = np.full(m, s * s / (2.0 * (1.0 - s)))  # v_k^2
-    weights[-1] = (1.0 - s) / 2.0
-    k = np.matmul(weights, blocks.reshape(-1, m, n * n)).reshape(-1, 1, n, n)
-    # v_i v_j = weights[0] for i, j < m: block (i, j) is delta_ij H_i + g_i + g_j
-    g = (2.0 * weights[0]) * (k - blocks[:, :-1])
-    diag = np.arange(m - 1)
-    size = (m - 1) * n
-    group = max(1, CURVATURE_GROUP // size**2)
-    lowest = np.empty(len(blocks))
-    for start in range(0, len(blocks), group):
-        part = slice(start, start + group)
-        # restricted[r, i, a, j, b] is entry (a, b) of block (i, j)
-        restricted = g[part, :, :, None, :] + np.swapaxes(g[part], 1, 2)[:, None]
-        restricted[:, diag, :, diag, :] += np.swapaxes(blocks[part, :-1], 0, 1)
-        lowest[part] = np.linalg.eigvalsh(restricted.reshape(-1, size, size))[:, 0]
+    poles, vectors = np.linalg.eigh(blocks)
+    runs = len(blocks)
+    poles = poles.reshape(runs, m * n)
+    # row i * n + a is V_i[:, a], the direction of pole d_ia
+    rows = np.swapaxes(vectors, -1, -2).reshape(runs, m * n, n)
+    ordered = np.sort(poles, axis=-1)
+    # a run whose Hessian is not finite gets NaN: nothing is proven there
+    finite = np.isfinite(ordered).all(axis=1)
+    lowest = np.where(finite, ordered[:, 0], np.nan)
+    scale = np.maximum(-ordered[:, 0], ordered[:, -1])
+    live = np.flatnonzero(finite & (ordered[:, n] - lowest > 4.0 * np.finfo(float).eps * scale))
+    lo, hi, d, v, scale = lowest[live], ordered[live, n], poles[live], rows[live], scale[live]
+    # outer[r, p] is the flattened v_p v_p' of pole p, so that
+    # M(mu) = (1 / (d - mu)) @ outer
+    outer = (v[..., :, None] * v[..., None, :]).reshape(len(live), m * n, n * n)
+    ulp = np.finfo(float).eps * scale
+    # Rounding in a pole's term of M, about eps max|d| / |d - mu|, can flip
+    # the sign of another eigenvalue of M; poles this close are kept. The
+    # 1 / (256 m) is empirical: hard cases (repeated agents, coinciding
+    # poles) stay within 5e-15 max|H| of a dense QR solve with it, drift
+    # to 1e-13 at 1 / (16384 m), and are wrong by up to 0.06 with only
+    # the poles a trial point sits on kept.
+    radius = (n - 1) / (256.0 * m) * scale
+    spread = np.zeros(len(live))
+    stepped = np.zeros(len(live), dtype=bool)
+    mu = lo[:, None] + (hi - lo)[:, None] * _FIRST
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while live.size:
+            points = mu.shape[1]
+            gap = d[:, None, :] - mu[:, :, None]
+            kept = np.abs(gap) <= radius[:, None, None]
+            inv = 1.0 / gap
+            deflate = kept.any()
+            if deflate:
+                inv[kept] = 0.0
+            schur = np.matmul(inv, outer).reshape(-1, n, n)
+            square = inv * inv
+            dschur = np.matmul(square, outer).reshape(-1, n, n)
+            ddschur = np.matmul(square * inv, outer).reshape(-1, n, n)
+            gap, kept = gap.reshape(-1, m * n), kept.reshape(-1, m * n)
+            if deflate:
+                neg = np.add.reduce((gap < 0) & ~kept, axis=-1)
+                size = np.add.reduce(kept, axis=-1)
+                below, step = np.empty(mu.size, dtype=bool), np.empty(mu.size)
+                for c in np.unique(size):
+                    at = np.flatnonzero(size == c)
+                    which = np.nonzero(kept[at])[1].reshape(len(at), c)
+                    border, offset = v[at[:, None] // points, which], gap[at[:, None], which]
+                    below[at], step[at] = _count_and_step(
+                        schur[at], dschur[at], ddschur[at], neg[at], border, offset
+                    )
+            else:
+                neg = np.add.reduce(gap < 0, axis=-1)
+                below, step = _count_and_step(schur, dschur, ddschur, neg)
+            below = below.reshape(mu.shape)
+            lo = np.maximum(np.maximum.reduce(mu, axis=1, where=below, initial=-np.inf), lo)
+            hi = np.minimum(np.minimum.reduce(mu, axis=1, where=~below, initial=np.inf), hi)
+            # The next centre is a Halley step from the point with the
+            # shortest one. Its error is about |step|^3 / reach^2, reach the
+            # distance to the nearest pole not kept; the next points
+            # straddle it by four times that, or by four times this pass's
+            # spread after a Halley pass that missed the root, within the
+            # bracket. When they do not fit, the bracket is quartered.
+            best = np.arange(len(mu)) * points + np.abs(step).reshape(mu.shape).argmin(axis=1)
+            step = step[best]
+            reach = np.maximum(np.abs(gap[best]).min(axis=1), radius)
+            width = hi - lo
+            guard = 4.0 * np.abs(step) ** 3 / (reach * reach)
+            missed = stepped & (width > 2.0 * spread)
+            spread = np.maximum(guard, np.where(missed, 4.0 * spread, ulp))
+            stepped = 2.0 * spread < width
+            centre = np.fmin(np.fmax(mu.reshape(-1)[best] - step, lo + spread), hi - spread)
+            centre = np.where(stepped, centre, lo + 0.5 * width)
+            spread = np.where(stepped, spread, 0.25 * width)
+            mu = centre[:, None] + spread[:, None] * _SIDES
+            done = width <= 4.0 * ulp
+            if done.any():
+                lowest[live[done]] = lo[done]
+                keep = ~done
+                live, lo, hi = live[keep], lo[keep], hi[keep]
+                d, v, outer = d[keep], v[keep], outer[keep]
+                ulp, radius, spread, stepped = ulp[keep], radius[keep], spread[keep], stepped[keep]
+                mu = mu[keep]
     return float(lowest[0]) if theta.ndim == 1 else lowest.reshape(theta.shape[:-1])
+
+
+def _count_and_step(schur, dschur, ddschur, neg, border=None, offset=None):
+    """Whether each trial point lies below the smallest restricted
+    eigenvalue, and a Halley step toward it.
+
+    schur, dschur and ddschur are (N, n, n): M over the eliminated poles,
+    its derivative in mu and half its second derivative; neg (N,) counts
+    eliminated poles below mu. With c kept poles per point, border (N, c, n)
+    holds their directions and offset (N, c) their d - mu; eliminating only
+    the other poles leaves K = [[M, border'], [border, -diag(offset)]],
+    whose pos(K) stands in for pos(M) exactly (a kept d - mu may be 0).
+    The count changes where an eigenvalue of K crosses zero: the largest
+    non-positive one below the root, the smallest positive one above it.
+    Its slope is u' K' u with K' = [[dM, 0], [0, I]], and its curvature
+    u' K'' u + 2 sum_k (u_k' K' u)^2 / (nu - nu_k) over the other
+    eigenpairs (nu_k, u_k).
+    """
+    points, n, _ = schur.shape
+    k = schur
+    if border is not None:
+        c = border.shape[1]
+        k = np.zeros((points, n + c, n + c))
+        k[:, :n, :n] = schur
+        k[:, n:, :n] = border
+        k[:, :n, n:] = np.swapaxes(border, 1, 2)
+        k[:, np.arange(n, n + c), np.arange(n, n + c)] = -offset
+    eig, vec = np.linalg.eigh(k)
+    pos = (eig > 0).sum(axis=-1)
+    below = neg + pos == n
+    rows, crossing = np.arange(points), k.shape[-1] - pos - below
+    val, u = eig[rows, crossing], vec[rows, :, crossing, None]
+    slope = np.matmul(dschur, u[:, :n])
+    if border is not None:
+        slope = np.concatenate([slope, u[:, n:]], axis=1)
+    rate = (u * slope).sum(axis=(1, 2))
+    curvature = 2.0 * (u[:, :n] * np.matmul(ddschur, u[:, :n])).sum(axis=(1, 2))
+    if k.shape[-1] > 1:
+        coupling = np.matmul(np.swapaxes(vec, 1, 2), slope)[..., 0]
+        spacing = val[:, None] - eig
+        spacing[rows, crossing] = np.inf
+        curvature += 2.0 * (coupling * coupling / spacing).sum(axis=1)
+    newton = val / rate
+    return below, newton / (1.0 - 0.5 * newton * curvature / rate)
 
 
 @dataclass(frozen=True)

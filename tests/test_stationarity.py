@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
+from scipy.optimize import brentq
 
 from lapgd.network import build_laplacian, cycle_graph, path_graph, watts_strogatz
 from lapgd.objectives import (
+    ProblemInstance,
     hessian_blocks,
     portfolio_problem,
     quadratic_problem,
@@ -151,6 +153,111 @@ def test_tangent_min_curvature_matches_dense_oracle(family, m, n, runs, seed):
         blocks = hessian_blocks(problem, point)
         oracle = dense_tangent_curvature(blocks)
         assert abs(value - oracle) <= 1e-10 * (1.0 + np.abs(blocks).max())
+
+
+def fixed_hessian_problem(blocks):
+    # a quadratic with the given (m, n, n) Hessian blocks at every point
+    blocks = np.asarray(blocks, dtype=float)
+    m, n, _ = blocks.shape
+    return ProblemInstance(
+        m=m,
+        n=n,
+        demand=np.zeros(n),
+        params=(blocks,),
+        value=lambda theta, h: np.einsum("...ia,iab,...ib->...", theta, h, theta) / 2.0,
+        grad=lambda theta, h: np.einsum("iab,...ib->...ia", h, theta),
+        hess=lambda theta, h: np.broadcast_to(h, theta.shape[:-2] + h.shape),
+        lip_grad=float(np.abs(blocks).sum(axis=-1).max()),
+        lip_hess=0.0,
+    )
+
+
+def hard_blocks(case, m, n, rng):
+    # Hessian blocks whose restricted spectrum meets a pole of the count
+    if case == "isotropic":
+        # c I everywhere: lambda_1(H) = lambda_{n+1}(H), a bracket of width 0
+        return np.broadcast_to(rng.normal() * np.eye(n), (m, n, n))
+    if case == "grid_values":
+        # eigenvalues on a coarse grid, in a basis shared by all agents or
+        # one per agent: poles coincide and trial points land on them
+        values = rng.choice([0.0, 0.5, 1.0, 3.0], size=(m, n))
+        basis = np.linalg.qr(rng.normal(size=(m if rng.integers(2) else 1, n, n)))[0]
+        basis = np.broadcast_to(basis, (m, n, n))
+        blocks = np.einsum("iab,ib,icb->iac", basis, values, basis)
+        return (blocks + np.swapaxes(blocks, 1, 2)) / 2.0
+    a = rng.normal(size=(m, n, n))
+    blocks = (a + np.swapaxes(a, 1, 2)) / 2.0
+    if case == "repeated":
+        # repeated agents: each agent copies one of the first two
+        blocks = blocks[rng.integers(0, 2, size=m)]
+    if case == "lowest_repeated":
+        # the agent holding lambda_1(H) appears twice, so the restricted
+        # minimum equals lambda_1(H), which is a pole
+        blocks[1] = blocks[0]
+        shift = np.linalg.eigvalsh(blocks).min() - np.linalg.eigvalsh(blocks[0])[0] - 1.0
+        blocks[:2] += shift * np.eye(n)
+    return blocks
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(["isotropic", "grid_values", "repeated", "lowest_repeated", "generic"]),
+    m=st.integers(2, 12),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_tangent_min_curvature_hard_cases(case, m, n, seed):
+    blocks = hard_blocks(case, m, n, np.random.default_rng(seed))
+    value = tangent_min_curvature(np.zeros(m * n), fixed_hessian_problem(blocks))
+    spectrum = np.sort(np.linalg.eigh(blocks)[0].reshape(-1))
+    assert spectrum[0] <= value <= spectrum[n]
+    oracle = dense_tangent_curvature(blocks)
+    scale = 1.0 + np.abs(blocks).max()
+    assert abs(value - oracle) <= 1e-10 * scale
+    assert value <= oracle + 1e-13 * scale
+
+
+def test_tangent_min_curvature_pole_at_first_midpoint():
+    # the interlacing bracket is [0, 1] and its midpoint 0.5, a trial
+    # point of the first pass, is a pole; the restricted Hessian is
+    # (H_1 + H_2) / 2 = diag(0.25, 2)
+    blocks = np.array([np.diag([0.0, 1.0]), np.diag([0.5, 3.0])])
+    value = tangent_min_curvature(np.zeros(4), fixed_hessian_problem(blocks))
+    assert 0.25 - 1e-15 <= value <= 0.25
+
+
+def test_tangent_min_curvature_large_m_secular_root():
+    # m = 10^4 at the saddle: the restricted minimum of diag(h) is the root
+    # of sum_i 1 / (h_i - mu) between the two smallest h_i
+    m = 10_000
+    a, b = sample_smart_grid_params(m, np.random.default_rng(3))
+    problem = smart_grid_problem(a, b)
+    h = np.sort(2.0 * a - 2.0 * b)
+    secular = lambda mu: np.sum(1.0 / (h - mu))
+    margin = 1e-9 * (h[1] - h[0])
+    root = brentq(secular, h[0] + margin, h[1] - margin, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    value = tangent_min_curvature(np.zeros(m), problem)
+    assert abs(value - root) <= 1e-10 * abs(root)
+
+    rng = np.random.default_rng(4)
+    points = np.stack([np.zeros(m), *(rng.normal(scale=0.1, size=(2, m)))])
+    points -= points.mean(axis=1, keepdims=True)
+    stacked = tangent_min_curvature(points, problem)
+    assert stacked[0] == value
+    for point, got in zip(points, stacked):
+        assert got == tangent_min_curvature(point, problem)
+
+
+def test_tangent_min_curvature_non_finite_hessian_is_nan():
+    # at |theta| = 1e200 the smart_grid Hessian overflows to NaN: no
+    # curvature is proven there, and other runs of the stack keep theirs
+    problem = smart_grid_problem([1.0, 1.2, 0.8], [2.0, 2.5, 2.2])
+    points = np.array([[1e200, -1e200, 0.0], [0.1, -0.2, 0.1]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        stacked = tangent_min_curvature(points, problem)
+        assert np.isnan(tangent_min_curvature(points[0], problem))
+    assert np.isnan(stacked[0])
+    assert stacked[1] == tangent_min_curvature(points[1], problem)
 
 
 @pytest.mark.parametrize("seed", range(6))

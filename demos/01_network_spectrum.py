@@ -1,10 +1,10 @@
 """Build coupling graphs and inspect the operators the optimizer uses.
 
-Every update the library takes moves along a graph Laplacian (or its
-matrix square root) applied blockwise to the stacked allocation. This
-demo builds a few graphs, prints their spectra, and shows why the
-construction conserves block sums: both operators annihilate the
-all-ones direction.
+Every update the library takes moves along a graph Laplacian L = B' B,
+applied blockwise to the stacked allocation through its incidence
+factor B. This demo builds a few graphs, prints their spectra, and
+shows why the construction conserves block sums: L and its matrix
+square root, the dense references, annihilate the all-ones direction.
 """
 
 import numpy as np

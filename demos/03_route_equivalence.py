@@ -2,11 +2,11 @@
 
 The coupled update moves the stacked allocation along the Laplacian
 times the gradient. An equivalent route runs plain gradient descent on
-a lifted problem: substitute theta = anchor + S x with S the matrix
-square root of the Laplacian, step x, and map back. This demo advances
-both routes side by side, noiseless and noisy with a shared noise
-stream, and prints the worst deviation. Agreement to near machine
-precision is what makes lifted-space certificates transferable.
+a lifted problem: substitute theta = anchor + B' x with B the signed
+edge-by-node incidence matrix (L = B' B), step x, and map back. This
+demo advances both routes side by side, noiseless and noisy with a
+shared noise stream, and prints the worst deviation. Agreement to near
+machine precision is what makes lifted-space certificates transferable.
 """
 
 import numpy as np

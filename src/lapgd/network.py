@@ -1,13 +1,15 @@
-"""Communication graphs and lifted Laplacian operators.
+"""Communication graphs and lifted incidence operators.
 
 An allocation problem couples m agents through a connected undirected
-graph. The graph Laplacian L = D - A drives everything in this package:
-descent directions are premultiplied by L acting block-wise on stacked
-per-agent vectors, and the change of variables behind the convergence
-analysis uses the symmetric PSD square root of L. Both operators act on
-a stacked vector v = (v_1, ..., v_m) with v_i in R^n through
-``apply_lifted``, so the Kronecker product with the identity is never
-materialized.
+graph with E edges. Its Laplacian L = D - A factors as L = B' B, B the
+signed (E, m) edge-by-node incidence matrix, and the run path uses B
+only: descent directions are premultiplied by L as B' (B g), noisy kicks
+are B' eta with one Gaussian block per edge, and the projected gradient
+is ||B g||. The factor acts block-wise on stacked per-agent vectors
+through ``apply_lifted``, so the Kronecker product with the identity is
+never materialized. It is stored dense on small graphs and as CSR on
+large ones, where nothing of size m x m is ever formed; the dense L and
+its PSD square root remain available as references built on demand.
 
 Stacking convention: a stacked vector has length m * n with agent i's
 block at ``v[i * n : (i + 1) * n]``, i.e. ``v.reshape(m, n)`` puts one
@@ -17,11 +19,15 @@ agent per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
-# Relative cutoff below which a Laplacian eigenvalue counts as zero.
-ZERO_EIG_RTOL = 1e-10
+# Largest node count whose operators are stored dense; above it they are
+# CSR. Set from the measured crossover of the stacked apply (CHANGES.md).
+DENSE_MAX_M = 48
 
 # Connected-graph generation retries before giving up.
 MAX_GRAPH_ATTEMPTS = 100
@@ -178,94 +184,144 @@ def watts_strogatz(m: int, k: int, p: float, seed: int) -> Graph:
 
 @dataclass(frozen=True)
 class NetworkOperator:
-    """Laplacian of a connected graph with its spectral data, ready for
-    lifted block-wise use on stacked vectors of per-agent dimension
-    ``agent_dim``.
+    """The signed incidence factor of a connected graph with its spectral
+    data, ready for lifted block-wise use on stacked vectors of per-agent
+    dimension ``agent_dim``.
 
-    ``lambda_min_plus`` is the smallest eigenvalue above the zero cutoff
-    (the algebraic connectivity) and ``lambda_max`` the largest; for the
-    PSD square root S = sqrt_laplacian the spectral norm satisfies
-    ||S||^2 = lambda_max. Arrays are read-only after construction.
+    ``incidence`` is B, one row per edge (i, j), i < j, with +1 at i and
+    -1 at j, so L = B' B; ``incidence_t`` is B' stored on its own. Both
+    are dense arrays for m <= ``DENSE_MAX_M`` and CSR matrices above.
+    ``lambda_min_plus`` is the second-smallest eigenvalue of L (the
+    algebraic connectivity) and ``lambda_max`` the largest, which equals
+    ||B||^2.
+
+    ``laplacian`` and the PSD square root ``sqrt_laplacian`` (||S||^2 =
+    lambda_max, S S = L) are dense (m, m) references, built on first
+    access and cached; nothing on the run or certification path uses
+    them. Arrays are read-only.
     """
 
-    laplacian: np.ndarray
-    sqrt_laplacian: np.ndarray
+    incidence: object
+    incidence_t: object
     lambda_min_plus: float
     lambda_max: float
     agent_dim: int
 
     @property
     def m(self) -> int:
-        return self.laplacian.shape[0]
+        return self.incidence.shape[1]
+
+    @property
+    def edge_count(self) -> int:
+        return self.incidence.shape[0]
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        lap = self.incidence_t @ self.incidence
+        lap = lap.toarray() if scipy.sparse.issparse(lap) else lap
+        lap.flags.writeable = False
+        return lap
+
+    @cached_property
+    def sqrt_laplacian(self) -> np.ndarray:
+        eigvals, eigvecs = np.linalg.eigh(self.laplacian)
+        # The kernel eigenvalue comes out at rounding level (about eps *
+        # lambda_max, either sign); its root must be exactly 0, or S picks
+        # up a component along the ones vector and S (x) I leaks block sums.
+        roots = np.sqrt(np.maximum(eigvals, 0.0))
+        roots[0] = 0.0
+        root = (eigvecs * roots) @ eigvecs.T
+        root = (root + root.T) / 2.0
+        root.flags.writeable = False
+        return root
+
+
+def _read_only(mat):
+    for array in (mat.data, mat.indices, mat.indptr) if scipy.sparse.issparse(mat) else (mat,):
+        array.flags.writeable = False
+    return mat
 
 
 def build_laplacian(graph: Graph, agent_dim: int = 1) -> NetworkOperator:
-    """Assemble L = D - A and its spectral data for a connected graph.
+    """The incidence factor of a connected graph and the extreme nonzero
+    eigenvalues of L = B' B.
 
-    Connectivity is determined from the second-smallest eigenvalue and
-    cross-checked by traversal; a disconnected graph raises
-    ``DisconnectedGraphError`` carrying the component count.
+    Connectivity is checked by traversal; a disconnected graph raises
+    ``DisconnectedGraphError`` carrying the component count. Up to
+    ``DENSE_MAX_M`` nodes the spectrum comes from a dense ``eigvalsh``;
+    above it, from ARPACK on the sparse L: the largest eigenvalue
+    directly, lambda_2 by shift-invert just below zero. ARPACK starts
+    from a fixed vector, so equal graphs give equal numbers.
     """
     if agent_dim < 1:
         raise ValueError(f"agent_dim must be >= 1, got {agent_dim}")
-    m = graph.m
-    lap = np.zeros((m, m))
-    for i, j in graph.edges:
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-
-    eigvals, eigvecs = np.linalg.eigh(lap)
-    lam_max = float(eigvals[-1])
-    cutoff = ZERO_EIG_RTOL * max(lam_max, 0.0)
-    positive = eigvals > cutoff
-
     components = component_count(graph)
-    spectral_connected = int(positive.sum()) == m - 1
-    if (components == 1) != spectral_connected:
-        raise RuntimeError(
-            "connectivity disagreement between spectrum and traversal"
-        )
     if components != 1:
         raise DisconnectedGraphError(components)
-
-    # The kernel eigenvalue comes out at rounding level (about eps *
-    # lambda_max, either sign); its root must be exactly 0, or S picks up
-    # a component along the ones vector and S (x) I leaks block sums.
-    roots = np.sqrt(np.where(positive, eigvals, 0.0))
-    sqrt_lap = (eigvecs * roots) @ eigvecs.T
-    sqrt_lap = (sqrt_lap + sqrt_lap.T) / 2.0
-    lap.flags.writeable = False
-    sqrt_lap.flags.writeable = False
+    m, count = graph.m, graph.edge_count
+    incidence = scipy.sparse.csr_array(
+        (
+            np.tile([1.0, -1.0], count),
+            np.asarray(graph.edges, dtype=np.int32).reshape(-1),
+            np.arange(0, 2 * count + 1, 2, dtype=np.int32),
+        ),
+        shape=(count, m),
+    )
+    incidence_t = incidence.T.tocsr()
+    if m <= DENSE_MAX_M:
+        # Column-major: numpy then hands BLAS each run's product as the
+        # axpy-form gemv, measured 15-25% faster on these shapes.
+        incidence, incidence_t = incidence.toarray("F"), incidence_t.toarray("F")
+        eigvals = np.linalg.eigvalsh(incidence_t @ incidence)
+        lam_min_plus, lam_max = eigvals[1], eigvals[-1]
+    else:
+        lap = incidence_t @ incidence
+        start = np.random.default_rng(0).standard_normal(m)
+        (lam_max,) = scipy.sparse.linalg.eigsh(
+            lap, k=1, which="LA", v0=start, return_eigenvectors=False
+        )
+        bottom = scipy.sparse.linalg.eigsh(
+            lap, k=2, sigma=-1e-3, which="LM", v0=start, return_eigenvectors=False
+        )
+        lam_min_plus = np.sort(bottom)[1]
     return NetworkOperator(
-        laplacian=lap,
-        sqrt_laplacian=sqrt_lap,
-        lambda_min_plus=float(eigvals[positive][0]),
-        lambda_max=lam_max,
+        incidence=_read_only(incidence),
+        incidence_t=_read_only(incidence_t),
+        lambda_min_plus=float(lam_min_plus),
+        lambda_max=float(lam_max),
         agent_dim=agent_dim,
     )
 
 
-def apply_lifted(mat: np.ndarray, vec: np.ndarray, block_dim: int) -> np.ndarray:
+def apply_lifted(mat, vec: np.ndarray, block_dim: int) -> np.ndarray:
     """Apply mat (x) I_{block_dim} to a stacked vector without forming it.
 
-    For mat of shape (q, m) and vec of length m * block_dim the result
-    block i is sum_j mat[i, j] * vec_j, computed as a single (q, m) by
-    (m, block_dim) product in O(q * m * block_dim). A leading run axis on
-    vec is kept, and each run gets the same product it would get alone.
+    mat is a (q, m) dense array or CSR matrix; for vec of length
+    m * block_dim the result block i is sum_j mat[i, j] * vec_j. Leading
+    run axes on vec are kept, and each run gets the same product it would
+    get alone: a dense mat makes one (q, m) by (m, block_dim) product per
+    run, and a CSR mat makes one product with every run's blocks as
+    columns, each column summed over the stored entries in row order.
     """
-    mat = np.asarray(mat)
     vec = np.asarray(vec)
     if block_dim < 1:
         raise ValueError(f"block_dim must be >= 1, got {block_dim}")
-    m = mat.shape[1]
+    dense = isinstance(mat, np.ndarray) or not scipy.sparse.issparse(mat)
+    if dense:
+        mat = np.asarray(mat)
+    q, m = mat.shape
     if vec.ndim == 0 or vec.shape[-1] != m * block_dim:
         raise ValueError(
             f"stacked vector has shape {vec.shape}, expected (..., {m * block_dim})"
         )
     lead = vec.shape[:-1]
-    return (mat @ vec.reshape(lead + (m, block_dim))).reshape(lead + (-1,))
+    if dense:
+        return (mat @ vec.reshape(lead + (m, block_dim))).reshape(lead + (-1,))
+    columns = vec.reshape(-1, m, block_dim).transpose(1, 0, 2).reshape(m, -1)
+    out = (mat @ columns).reshape(q, -1, block_dim).transpose(1, 0, 2)
+    # Row-major like the dense result: BLAS sums a strided row in another
+    # order than a contiguous one, so later row reductions would differ.
+    return np.ascontiguousarray(out).reshape(lead + (-1,))
 
 
 def block_sum(vec: np.ndarray, block_dim: int) -> np.ndarray:

@@ -232,7 +232,7 @@ def _portfolio_value(blocks, mu, cov, rw, lw):
 def _portfolio_grad(blocks, mu, cov, rw, lw):
     return (
         -mu
-        + 2.0 * rw[:, None] * np.einsum("ijk,...ik->...ij", cov, blocks)
+        + 2.0 * rw[:, None] * (cov @ blocks[..., None])[..., 0]
         + 2.0 * lw[:, None] * blocks / (1.0 + blocks * blocks)
     )
 

@@ -1,20 +1,22 @@
 """Laplacian-weighted gradient descent and its noisy variant.
 
 The feasible update premultiplies the stacked gradient by the lifted
-Laplacian: theta <- theta - alpha * (L (x) I_n) grad F(theta). Because
-the Laplacian's rows sum to zero the block sum of theta never changes,
-so every iterate of a feasible start stays feasible. The noisy variant
-adds an S-lifted Gaussian kick, S being the Laplacian square root, which
-keeps feasibility for the same reason while letting the iterate leave
-strict saddles.
+Laplacian: theta <- theta - alpha * (L (x) I_n) grad F(theta), with
+L = B' B formed as two applies of the edge-by-node incidence factor B.
+Because the Laplacian's rows sum to zero the block sum of theta never
+changes, so every iterate of a feasible start stays feasible. The noisy
+variant adds the kick sigma (B' (x) I_n) eta, eta standard normal with
+one n-block per edge: its law is N(0, sigma^2 L (x) I_n), each edge can
+draw its block locally, and its blocks sum to zero, so it keeps
+feasibility too while letting the iterate leave strict saddles.
 
 Both algorithms are exactly mirrored by plain (noisy) gradient descent
-on the auxiliary function psi(x) = F(theta_start + S-lift of x): the
-single-step functions ``aux_gd_step`` / ``aux_ngd_step`` reproduce the
-lap-weighted theta sequence up to rounding, noise streams included. They
-are their own few lines of lifted recursion and share no update code
-with the lap-weighted steps, so the equivalence is tested rather than
-assumed.
+on the auxiliary function psi(x) = F(theta_start + B'-lift of x), x in
+R^{E n}: the single-step functions ``aux_gd_step`` / ``aux_ngd_step``
+reproduce the lap-weighted theta sequence up to rounding, consuming the
+same normals as ``nlgd_step``. They are their own few lines of lifted
+recursion and share no update code with the lap-weighted steps, so the
+equivalence is tested rather than assumed.
 
 One engine, ``run_many``, advances a stack of lap-weighted runs that
 share a problem, a network and a record schedule in lockstep: one
@@ -43,8 +45,9 @@ from .stationarity import feasibility_residual, projected_grad_norm, row_norms, 
 DIVERGENCE_NORM = 1e12
 START_FEAS_RTOL = 1e-10
 
-# Noise is drawn per record stride in chunks of at most this many values
-# across the stack, so the block stays small at any network size.
+# Kicks are drawn per record stride in chunks of at most this many normals
+# across the stack (E * n per noisy run and step, E the edge count), so
+# the block stays small at any network size.
 NOISE_CHUNK = 1 << 14
 
 
@@ -140,9 +143,10 @@ class RunConfig:
 @dataclass(frozen=True)
 class IterateState:
     """One iterate: the allocation, the iteration counter, and (for the
-    auxiliary steps) the auxiliary point and its anchor. Whenever
-    ``aux_x`` is present, theta equals the anchor plus the S-lift of aux_x
-    up to rounding."""
+    auxiliary steps) the auxiliary point in R^{E n} and its anchor.
+    Whenever ``aux_x`` is present, theta equals the anchor plus the
+    B'-lift of aux_x up to rounding; ``initial_state`` sets it to a scalar
+    zero, the origin of any R^{E n}, which the first step broadcasts."""
 
     theta: np.ndarray
     iteration: int
@@ -173,31 +177,26 @@ class Trace:
 
 def initial_state(theta_start: np.ndarray, with_aux: bool) -> IterateState:
     theta = np.array(theta_start, dtype=float)
-    aux = np.zeros_like(theta) if with_aux else None
+    aux = np.zeros(()) if with_aux else None
     anchor = theta.copy() if with_aux else None
     return IterateState(theta=theta, iteration=0, aux_x=aux, anchor=anchor)
 
 
 def sample_perturbation(
-    m: int,
-    n: int,
-    noise_variance: float,
-    rng: np.random.Generator,
-    steps: int | None = None,
+    m: int, n: int, noise_variance: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Stacked Gaussian kick with per-coordinate variance noise_variance,
-    or with ``steps`` a (steps, m * n) block of consecutive kicks, equal
-    to that many single draws from the same stream.
+    """Gaussian vector of m blocks of n values with per-coordinate
+    variance noise_variance; the lifted reference steps draw their E * n
+    edge normals with it.
 
     Zero variance returns zeros without consuming the stream, so a
     zero-noise run is bitwise identical to its noiseless twin.
     """
     if noise_variance < 0:
         raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
-    shape = m * n if steps is None else (steps, m * n)
     if noise_variance == 0:
-        return np.zeros(shape)
-    return math.sqrt(noise_variance) * rng.standard_normal(shape)
+        return np.zeros(m * n)
+    return math.sqrt(noise_variance) * rng.standard_normal(m * n)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +214,35 @@ def _advance(
     """One lap-weighted step of every run in a stack; returns the new theta.
 
     theta holds one stacked point per row and step is an (R, 1) column of
-    step sizes. The rows in ``noisy`` take the kicks in ``kick``, one row
-    each, lifted by S.
+    step sizes. The rows in ``noisy`` add the edge kicks sigma eta in
+    ``kick``, one row each, to their edge differences B grad F, so one
+    B' apply lifts both: theta - step B'(B grad F + sigma eta), whose
+    kick part sigma B' eta has the law N(0, sigma^2 L (x) I_n).
     """
     n = problem.n
-    direction = apply_lifted(net.laplacian, stacked_gradient(problem, theta), n)
+    grad = problem.grad(theta.reshape(len(theta), problem.m, n), *problem.params)
+    edge_grad = apply_lifted(net.incidence, grad.reshape(theta.shape), n)
     if kick is not None:
-        direction[noisy] += apply_lifted(net.sqrt_laplacian, kick, n)
-    return theta - step * direction
+        edge_grad[noisy] += kick
+    direction = apply_lifted(net.incidence_t, edge_grad, n)
+    direction *= step
+    return np.subtract(theta, direction, out=direction)
+
+
+def edge_kicks(net: NetworkOperator, sigmas: np.ndarray, rngs, steps: int) -> np.ndarray:
+    """The edge kicks sigma eta of the next ``steps`` steps of each run,
+    shape (runs, steps, E * n): one n-block per edge, lifted to the nodes
+    by the step's B' apply.
+
+    Each run draws its E * n standard normals per step from its own
+    stream, straight into its own block, so a run's kicks are the ones
+    it draws alone, and a block of steps equals that many one-step draws.
+    """
+    eta = np.empty((len(rngs), steps, net.edge_count * net.agent_dim))
+    for rng, block in zip(rngs, eta):
+        rng.standard_normal(out=block)
+    eta *= np.asarray(sigmas)[:, None, None]
+    return eta
 
 
 def _direct_step(state, problem, net, step_size, noise_variance=0.0, rng=None):
@@ -230,7 +250,7 @@ def _direct_step(state, problem, net, step_size, noise_variance=0.0, rng=None):
         raise ValueError("lap-weighted step needs a state without aux_x")
     kick = None
     if noise_variance > 0:
-        kick = sample_perturbation(problem.m, problem.n, noise_variance, rng)[None]
+        kick = edge_kicks(net, np.sqrt([noise_variance]), [rng], 1)[:, 0]
     theta = _advance(
         problem, net, state.theta[None], np.array([[step_size]]), kick, slice(0, 1)
     )
@@ -238,15 +258,15 @@ def _direct_step(state, problem, net, step_size, noise_variance=0.0, rng=None):
 
 
 def _lifted_step(state, problem, net, step_size, noise_variance=0.0, rng=None):
-    # x <- x - alpha (S grad F(theta) + xi), then theta = anchor + S x
+    # x <- x - alpha (B grad F(theta) + sigma eta), then theta = anchor + B' x
     if state.aux_x is None or state.anchor is None:
         raise ValueError("auxiliary step needs a state carrying aux_x and anchor")
     n = problem.n
-    direction = apply_lifted(net.sqrt_laplacian, stacked_gradient(problem, state.theta), n)
+    direction = apply_lifted(net.incidence, stacked_gradient(problem, state.theta), n)
     if noise_variance > 0:
-        direction += sample_perturbation(problem.m, n, noise_variance, rng)
+        direction += sample_perturbation(net.edge_count, n, noise_variance, rng)
     aux = state.aux_x - step_size * direction
-    theta = state.anchor + apply_lifted(net.sqrt_laplacian, aux, n)
+    theta = state.anchor + apply_lifted(net.incidence_t, aux, n)
     return replace(state, theta=theta, aux_x=aux, iteration=state.iteration + 1)
 
 
@@ -269,7 +289,8 @@ def nlgd_step(
     rng: np.random.Generator,
 ) -> IterateState:
     """One noisy lap-weighted step: the gradient direction is lifted by
-    the Laplacian, the Gaussian kick by its square root."""
+    the Laplacian, the Gaussian kick (one n-block per edge) by B', both
+    in the same B' apply."""
     return _direct_step(state, problem, net, step_size, noise_variance, rng)
 
 
@@ -280,7 +301,7 @@ def aux_gd_step(
     step_size: float,
 ) -> IterateState:
     """One plain gradient step on the auxiliary function: x moves against
-    the S-lifted gradient, theta is re-derived from the anchor."""
+    the B-lifted gradient, theta is re-derived from the anchor."""
     return _lifted_step(state, problem, net, step_size)
 
 
@@ -292,8 +313,8 @@ def aux_ngd_step(
     noise_variance: float,
     rng: np.random.Generator,
 ) -> IterateState:
-    """Noisy auxiliary step; the kick enters unlifted, matching the noisy
-    lap-weighted route through the change of variables."""
+    """Noisy auxiliary step; the kick's normals enter unlifted, matching
+    the noisy lap-weighted route through the change of variables."""
     return _lifted_step(state, problem, net, step_size, noise_variance, rng)
 
 
@@ -305,7 +326,8 @@ def theoretical_step_bound(
     failure_prob: float, lip_grad: float, sqrt_norm_sq: float
 ) -> float:
     """Largest safe step size min{1, -2 ln p} / (||S||^2 L_grad) for
-    failure probability p in (0, 1)."""
+    failure probability p in (0, 1); ||S||^2 = ||B||^2 = lambda_max for
+    the Laplacian root S and the incidence factor B alike."""
     if not 0.0 < failure_prob < 1.0:
         raise ValueError(f"failure_prob must be in (0, 1), got {failure_prob}")
     if lip_grad <= 0 or sqrt_norm_sq <= 0:
@@ -327,7 +349,7 @@ def variance_for_tolerance(grad_tol: float, m: int, n: int) -> float:
 def curvature_tolerance(grad_tol: float, lambda_max: float, lip_hess: float) -> float:
     """Tangent-curvature tolerance sqrt(grad_tol * lambda_max^1.5 * L_hess)
     matched to a projected-gradient tolerance through the Hessian
-    smoothness bound and ||S||^2 = lambda_max."""
+    smoothness bound and ||B||^2 = lambda_max."""
     return float(np.sqrt(grad_tol * lambda_max**1.5 * lip_hess))
 
 
@@ -413,7 +435,7 @@ class _Stack:
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows where mask is False."""
         if self.kicks is not None:
-            self.kicks = self.kicks[:, mask[self.noisy]]
+            self.kicks = self.kicks[mask[self.noisy]]
         self.ids = self.ids[mask]
         self.theta = self.theta[mask]
         self._layout()
@@ -456,9 +478,9 @@ def run_many(
     if theta_ref is not None:
         theta_ref = np.asarray(theta_ref, dtype=float)
 
-    m, n = problem.m, problem.n
     stack = _Stack(starts, configs)
     rngs = [np.random.default_rng(config.seed) for config in configs]
+    sigmas = np.sqrt([config.noise_variance for config in configs])
     slopes = [None] * len(configs)
     for i, config in enumerate(configs):
         if config.monitor_descent and config.algorithm is Algorithm.LGD:
@@ -517,18 +539,22 @@ def run_many(
         if not len(noisy_ids):
             stack.kicks = None
             return limit
-        steps = max(1, min(limit, NOISE_CHUNK // (len(noisy_ids) * m * n)))
-        stack.kicks = np.stack(
-            [
-                sample_perturbation(m, n, configs[i].noise_variance, rngs[i], steps)
-                for i in noisy_ids
-            ],
-            axis=1,
+        per_step = len(noisy_ids) * net.edge_count * problem.n
+        steps = max(1, min(limit, NOISE_CHUNK // per_step))
+        stack.kicks = edge_kicks(
+            net, sigmas[noisy_ids], [rngs[i] for i in noisy_ids], steps
         )
         return steps
 
     def check_divergence(t: int) -> None:
         theta = stack.theta
+        # No row can reach the guard while the squares of the whole stack
+        # sum to less than 0.98 of its square (the 1% margin covers the
+        # rounding of either sum); NaN and inf fail this test and take
+        # the exact path.
+        flat = theta.reshape(-1)
+        if np.dot(flat, flat) < 0.98 * DIVERGENCE_NORM**2:
+            return
         sq = np.einsum("ij,ij->i", theta, theta)
         if (sq < 0.99 * DIVERGENCE_NORM**2).all():
             return
@@ -582,7 +608,7 @@ def run_many(
                 break
             if offset == chunk_end:
                 chunk_start, chunk_end = offset, offset + draw_noise(span - offset)
-            kick = None if stack.kicks is None else stack.kicks[offset - chunk_start]
+            kick = None if stack.kicks is None else stack.kicks[:, offset - chunk_start]
             stack.theta = _advance(problem, net, stack.theta, stack.step, kick, stack.noisy)
             check_divergence(t + offset + 1)
             if offset == 0:

@@ -2,9 +2,11 @@
 
 A point theta is feasible when its blocks sum to the demand vector.
 Among feasible points, first-order stationarity is measured by the
-projected gradient ||S (x) I_n grad F(theta)|| with S the Laplacian
-square root: it vanishes exactly when the local gradients agree across
-agents, which is the constrained first-order condition. Second-order
+projected gradient ||B (x) I_n grad F(theta)|| with B the edge-by-node
+incidence factor of the Laplacian L = B' B (the same number as with the
+Laplacian square root S in place of B): the differences of the local
+gradients across the edges, which vanish exactly when the local
+gradients agree across agents, the constrained first-order condition. Second-order
 quality is measured by the smallest curvature of the Hessian over the
 tangent space T = {d : blocks of d sum to zero}. No basis of T is
 formed: inertia counts of the bordered matrix
@@ -79,11 +81,12 @@ def feasibility_residual(theta: np.ndarray, demand: np.ndarray):
 
 
 def projected_grad_norm(theta: np.ndarray, problem: ProblemInstance, net: NetworkOperator):
-    """||S (x) I_n grad F(theta)||; a leading run axis on theta gives one
-    value per run."""
+    """||B (x) I_n grad F(theta)||, the norm of the edge differences of
+    the local gradients; a leading run axis on theta gives one value per
+    run."""
     theta = np.asarray(theta, dtype=float)
     grad = stacked_gradient(problem, theta)
-    norms = row_norms(apply_lifted(net.sqrt_laplacian, grad, problem.n))
+    norms = row_norms(apply_lifted(net.incidence, grad, problem.n))
     return float(norms) if theta.ndim == 1 else norms
 
 

@@ -5,11 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lapgd.experiments import Scenario, run_batch, start_for_seed, tangent_perturbation
-from lapgd.network import build_laplacian, cycle_graph, path_graph, watts_strogatz
+from lapgd.experiments import (
+    Scenario,
+    final_report,
+    run_batch,
+    start_for_seed,
+    tangent_perturbation,
+)
+from lapgd.network import DENSE_MAX_M, build_laplacian, cycle_graph, path_graph, watts_strogatz
 from lapgd import optimizer
 from lapgd.objectives import (
     lipschitz_constants,
@@ -26,11 +33,11 @@ from lapgd.optimizer import (
     DivergenceError,
     RunConfig,
     initial_state,
+    edge_kicks,
     lgd_step,
     nlgd_step,
     run,
     run_many,
-    sample_perturbation,
 )
 
 ENGINE_SETTINGS = settings(
@@ -137,7 +144,8 @@ def serial_outcome(scenario, seed, config):
 @ENGINE_SETTINGS
 @given(
     family=st.sampled_from(FAMILIES),
-    m=st.integers(2, 5),
+    # the last size is above the dense-storage constant: CSR operators
+    m=st.sampled_from([2, 3, 4, 5, DENSE_MAX_M + 1]),
     param_seed=st.integers(0, 2**16),
     specs=st.lists(config_spec, min_size=1, max_size=5),
     seeds=st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True),
@@ -166,6 +174,25 @@ def test_batch_traces_equal_independent_runs(family, m, param_seed, specs, seeds
         alone = serial_outcome(scenario, result.seed, result.config)
         assert not isinstance(alone, Exception)
         assert_same_trace(result.trace, alone)
+
+
+def test_sparse_batch_never_builds_the_dense_references():
+    m = DENSE_MAX_M + 1
+    a, b = sample_smart_grid_params(m, np.random.default_rng(3))
+    problem = smart_grid_problem(a, b)
+    net = build_laplacian(watts_strogatz(m, 4, 0.2, seed=3))
+    assert scipy.sparse.issparse(net.incidence)
+    step = safe_step(problem, net)
+    configs = {
+        "lgd": RunConfig(Algorithm.LGD, 0.5 * step, 60, record_every=20, record_curvature=True),
+        "nlgd": RunConfig(Algorithm.NLGD, 0.5 * step, 60, noise_variance=0.01, record_every=30),
+    }
+    batch = run_batch(scenario_for(problem, net), [0, 1], configs)
+    assert len(batch.runs) == 4
+    for result in batch.runs:
+        assert final_report(result.trace, problem, net) == result.final_report
+    assert "laplacian" not in vars(net)
+    assert "sqrt_laplacian" not in vars(net)
 
 
 def _noise_seed(seed, index):
@@ -251,15 +278,17 @@ def test_run_many_rejects_mixed_schedules():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_block_noise_equals_per_step_noise(m, n, steps, chunks, variance, seed):
+    net = build_laplacian(cycle_graph(m) if m >= 3 else path_graph(2), agent_dim=n)
+    sigma = np.sqrt([variance])
     blocks = np.random.default_rng(seed)
     single = np.random.default_rng(seed)
     drawn = np.concatenate(
-        [sample_perturbation(m, n, variance, blocks, steps) for _ in range(chunks)]
+        [edge_kicks(net, sigma, [blocks], steps)[0] for _ in range(chunks)]
     )
-    one_by_one = np.stack(
-        [sample_perturbation(m, n, variance, single) for _ in range(steps * chunks)]
+    one_by_one = np.concatenate(
+        [edge_kicks(net, sigma, [single], 1)[0] for _ in range(steps * chunks)]
     )
-    assert drawn.shape == (steps * chunks, m * n)
+    assert drawn.shape == (steps * chunks, net.edge_count * n)
     assert np.array_equal(drawn, one_by_one)
     assert blocks.bit_generator.state == single.bit_generator.state
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from lapgd.network import (
+    DENSE_MAX_M,
     DisconnectedGraphError,
     Graph,
     apply_lifted,
@@ -177,6 +179,67 @@ def test_agent_dim_recorded():
 
 
 # ---------------------------------------------------------------------------
+# the incidence factor and the sparse storage path
+
+
+def test_incidence_frozen_and_factors_the_laplacian():
+    net = build_laplacian(path_graph(3))
+    # one row per edge (i, j), i < j: +1 at i, -1 at j
+    assert np.array_equal(net.incidence, [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+    assert np.array_equal(net.incidence_t, net.incidence.T)
+    assert net.edge_count == 2
+    assert np.array_equal(net.incidence.T @ net.incidence, net.laplacian)
+
+
+def test_operators_stored_dense_up_to_the_constant_and_csr_above():
+    small = build_laplacian(watts_strogatz(DENSE_MAX_M, 4, 0.2, seed=1))
+    large = build_laplacian(watts_strogatz(DENSE_MAX_M + 1, 4, 0.2, seed=1))
+    assert isinstance(small.incidence, np.ndarray)
+    assert isinstance(small.incidence_t, np.ndarray)
+    assert scipy.sparse.issparse(large.incidence)
+    assert scipy.sparse.issparse(large.incidence_t)
+    assert large.edge_count == 2 * (DENSE_MAX_M + 1)
+    assert np.array_equal(large.incidence_t.toarray(), large.incidence.toarray().T)
+    with pytest.raises(ValueError):
+        large.incidence.data[0] = 5.0
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sparse_spectrum_matches_dense_eigensolve(seed):
+    # above the constant the extremes come from ARPACK on the sparse L
+    graph = watts_strogatz(DENSE_MAX_M + 24, 4, 0.2, seed=seed)
+    net = build_laplacian(graph)
+    eigs = np.linalg.eigvalsh(net.laplacian)
+    assert net.lambda_min_plus == pytest.approx(eigs[1], rel=1e-10)
+    assert net.lambda_max == pytest.approx(eigs[-1], rel=1e-10)
+    again = build_laplacian(graph)
+    assert (again.lambda_min_plus, again.lambda_max) == (net.lambda_min_plus, net.lambda_max)
+
+
+def test_sparse_references_match_the_dense_path():
+    import lapgd.network as network
+
+    graph = watts_strogatz(30, 4, 0.3, seed=2)
+    dense = build_laplacian(graph)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "DENSE_MAX_M", 3)
+        sparse = build_laplacian(graph)
+    assert scipy.sparse.issparse(sparse.incidence)
+    assert np.array_equal(sparse.laplacian, dense.laplacian)
+    assert np.array_equal(sparse.sqrt_laplacian, dense.sqrt_laplacian)
+    assert sparse.lambda_max == pytest.approx(dense.lambda_max, rel=1e-12)
+    assert sparse.lambda_min_plus == pytest.approx(dense.lambda_min_plus, rel=1e-10)
+
+
+def test_dense_references_are_built_on_first_access_only():
+    net = build_laplacian(cycle_graph(5))
+    assert "laplacian" not in vars(net) and "sqrt_laplacian" not in vars(net)
+    first = net.sqrt_laplacian
+    assert net.sqrt_laplacian is first
+    assert "laplacian" in vars(net)
+
+
+# ---------------------------------------------------------------------------
 # matrix square root
 
 
@@ -221,6 +284,21 @@ def test_apply_lifted_matches_kron_oracle(seed):
     vec = rng.normal(size=m * n)
     expected = np.kron(mat, np.eye(n)) @ vec
     assert np.allclose(apply_lifted(mat, vec, n), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_apply_lifted_csr_matches_dense_and_keeps_each_run(seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.4)
+    csr = scipy.sparse.csr_array(mat)
+    n = 3
+    stack = rng.normal(size=(4, 6, 5 * n))
+    out = apply_lifted(csr, stack, n)
+    assert out.shape == (4, 6, 7 * n) and out.flags.c_contiguous
+    assert np.allclose(out, apply_lifted(mat, stack, n), atol=1e-13)
+    # each run gets, bit for bit, the product it gets alone
+    alone = np.array([[apply_lifted(csr, v, n) for v in rows] for rows in stack])
+    assert np.array_equal(out, alone)
 
 
 def test_apply_lifted_rejects_bad_length():

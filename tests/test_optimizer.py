@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lapgd.network import block_sum, build_laplacian, cycle_graph, path_graph, watts_strogatz
+from lapgd.network import (
+    apply_lifted,
+    block_sum,
+    build_laplacian,
+    cycle_graph,
+    path_graph,
+    watts_strogatz,
+)
 from lapgd.objectives import (
     quadratic_problem,
     sample_smart_grid_params,
@@ -23,6 +30,7 @@ from lapgd.optimizer import (
     initial_state,
     iteration_budget,
     lgd_step,
+    edge_kicks,
     nlgd_step,
     run,
     sample_perturbation,
@@ -123,6 +131,46 @@ def test_sample_perturbation_moments():
     assert draws.shape == (20000, 2)
     assert abs(draws.mean()) <= 0.02
     assert np.allclose(draws.var(axis=0), 0.25, rtol=0.05)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lifted_kick_has_the_law_sigma_squared_laplacian(n):
+    # the step lifts the edge kicks sigma eta by B'; sigma (B' (x) I_n) eta
+    # with eta ~ N(0, I) has covariance sigma^2 L (x) I_n
+    net = build_laplacian(watts_strogatz(6, 2, 0.3, seed=4), agent_dim=n)
+    sigma, draws = 0.3, 20_000
+    edge = edge_kicks(net, np.array([sigma]), [np.random.default_rng(17)], draws)[0]
+    assert edge.shape == (draws, net.edge_count * n)
+    kicks = apply_lifted(net.incidence_t, edge, n)
+    assert np.abs(block_sum(kicks, n)).max() <= 1e-13
+    want = sigma**2 * np.kron(net.laplacian, np.eye(n))
+    got = kicks.T @ kicks / draws
+    # a zero-mean Gaussian's empirical second moment has entry variance
+    # (C_ii C_jj + C_ij^2) / N; allow five standard deviations per entry
+    diag = np.diag(want)
+    bound = 5.0 * np.sqrt((np.outer(diag, diag) + want**2) / draws)
+    assert (np.abs(got - want) <= bound).all()
+
+
+def test_noisy_step_adds_the_lifted_kick():
+    problem, net = two_agent_quadratic()
+    state = initial_state(np.array([1.0, 0.0]), with_aux=False)
+    noisy = nlgd_step(state, problem, net, 0.1, 0.04, np.random.default_rng(3))
+    quiet = lgd_step(state, problem, net, 0.1)
+    edge = edge_kicks(net, np.array([0.2]), [np.random.default_rng(3)], 1)[0, 0]
+    kick = apply_lifted(net.incidence_t, edge, 1)
+    assert np.allclose(noisy.theta - quiet.theta, -0.1 * kick, rtol=0, atol=1e-15)
+
+
+def test_edge_kicks_use_each_runs_own_stream():
+    net = build_laplacian(cycle_graph(5), agent_dim=2)
+    sigmas = np.array([0.5, 2.0])
+    stacked = edge_kicks(net, sigmas, [np.random.default_rng(s) for s in (1, 2)], 3)
+    assert stacked.shape == (2, 3, net.edge_count * 2)
+    for row, seed in enumerate((1, 2)):
+        rng = np.random.default_rng(seed)
+        alone = [edge_kicks(net, sigmas[row:row + 1], [rng], 1)[0, 0] for _ in range(3)]
+        assert np.array_equal(stacked[row], np.array(alone))
 
 
 def test_zero_variance_noisy_run_is_bitwise_deterministic():

@@ -48,7 +48,8 @@ def main():
         print()
 
     # the auxiliary gradient is the projected gradient, the auxiliary
-    # Hessian the S H S sandwich
+    # Hessian the (B (x) I) H (B' (x) I) sandwich over the edges; its
+    # kernel eigenvalues print as -0.000 or 0.000 by rounding
     grad_norm = projected_grad_norm(optimum, problem, net)
     min_eig = float(np.linalg.eigvalsh(aux_hessian(optimum, problem, net))[0])
     passed = grad_norm <= 1e-8 and min_eig >= -1e-8

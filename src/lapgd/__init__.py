@@ -20,6 +20,7 @@ from .network import (
     is_connected,
     path_graph,
     read_edge_list,
+    tangent_perturbation,
     watts_strogatz,
     write_edge_list,
 )
@@ -90,7 +91,6 @@ from .experiments import (
     start_for_seed,
     summary_rows,
     sweep_sigma,
-    tangent_perturbation,
     write_trace_csv,
 )
 from .config import Bundle, ConfigError, load_bundle, load_config

@@ -26,7 +26,7 @@ from .experiments import (
     SCENARIO_BUILDERS,
     export_traces,
     final_report,
-    run_batch,
+    run_comparison,
     sweep_sigma,
     write_trace_csv,
 )
@@ -70,53 +70,31 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _scenario_from_args(args):
-    builder = SCENARIO_BUILDERS[args.scenario]
-    return builder(args.scenario_seed)
-
-
-def _truncated_configs(configs: dict, max_iters: int | None) -> dict:
-    if max_iters is None:
-        return dict(configs)
-    return {
-        label: replace(cfg, max_iters=max_iters) for label, cfg in configs.items()
-    }
-
-
-def _print_batch_summary(batch) -> None:
-    labels = list(batch.configs)
-    for label in labels:
+def cmd_batch(args) -> int:
+    """compare: the scenario's own configs; sweep: its baseline and one
+    noisy twin per --sigmas value."""
+    scenario = SCENARIO_BUILDERS[args.scenario](args.scenario_seed)
+    if args.command == "sweep":
+        sigmas = [float(s) for s in args.sigmas.split(",") if s.strip() != ""]
+        if not sigmas:
+            raise ConfigError("--sigmas needs at least one value")
+    if args.max_iters is not None:
+        configs = {
+            label: replace(cfg, max_iters=args.max_iters) for label, cfg in scenario.configs.items()
+        }
+        scenario = replace(scenario, configs=configs)
+    if args.command == "sweep":
+        batch = sweep_sigma(scenario, sigmas, range(args.seeds))
+    else:
+        batch = run_comparison(scenario, range(args.seeds))
+    written = export_traces(batch, args.out_dir)
+    for label in batch.configs:
         results = [r for r in batch.runs if r.label == label]
         escapes = [r.escape_iteration for r in results if r.escape_iteration is not None]
-        line = (
-            f"{label}: escaped {len(escapes)}/{len(results)} runs"
-        )
+        line = f"{label}: escaped {len(escapes)}/{len(results)} runs"
         if escapes:
             line += f", median escape iteration {int(np.median(escapes))}"
         print(line)
-
-
-def cmd_compare(args) -> int:
-    scenario = _scenario_from_args(args)
-    configs = _truncated_configs(scenario.configs, args.max_iters)
-    batch = run_batch(scenario, range(args.seeds), configs)
-    written = export_traces(batch, args.out_dir)
-    _print_batch_summary(batch)
-    print(f"wrote {len(written)} files to {args.out_dir}")
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    scenario = _scenario_from_args(args)
-    sigmas = [float(s) for s in args.sigmas.split(",") if s.strip() != ""]
-    if not sigmas:
-        raise ConfigError("--sigmas needs at least one value")
-    scenario = replace(
-        scenario, configs=_truncated_configs(scenario.configs, args.max_iters)
-    )
-    batch = sweep_sigma(scenario, sigmas, range(args.seeds))
-    written = export_traces(batch, args.out_dir)
-    _print_batch_summary(batch)
     print(f"wrote {len(written)} files to {args.out_dir}")
     return EXIT_OK
 
@@ -149,14 +127,8 @@ def cmd_spectrum(args) -> int:
         print("disconnected: spectral quantities need a connected graph")
         return EXIT_NEGATIVE
     net = build_laplacian(graph)
-    residual = np.linalg.norm(
-        net.sqrt_laplacian @ net.sqrt_laplacian - net.laplacian
-    ) / max(np.linalg.norm(net.laplacian), 1e-300)
     print(f"lambda_min_plus: {net.lambda_min_plus!r}")
     print(f"lambda_max: {net.lambda_max!r}")
-    sqrt_norm_sq = float(np.linalg.eigvalsh(net.sqrt_laplacian)[-1] ** 2)
-    print(f"sqrt_norm_sq: {sqrt_norm_sq!r}")
-    print(f"sqrt_residual: {float(residual)!r}")
     return EXIT_OK
 
 
@@ -206,25 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser(
         "compare", help="noiseless vs noisy batch on a named scenario"
     )
-    p_cmp.add_argument("scenario", choices=sorted(SCENARIO_BUILDERS))
-    p_cmp.add_argument("--seeds", type=int, default=20, help="run seeds 0..N-1")
-    p_cmp.add_argument(
-        "--scenario-seed", type=int, default=0, help="instance-generation seed"
-    )
-    p_cmp.add_argument("--max-iters", type=int, default=None, help="budget override")
-    p_cmp.add_argument("--out-dir", default=_default_out_dir())
-    p_cmp.set_defaults(func=cmd_compare)
-
     p_sweep = sub.add_parser("sweep", help="noise-level sweep on a named scenario")
-    p_sweep.add_argument("scenario", choices=sorted(SCENARIO_BUILDERS))
     p_sweep.add_argument(
         "--sigmas", required=True, help="comma-separated noise levels (std dev)"
     )
-    p_sweep.add_argument("--seeds", type=int, default=5, help="run seeds 0..N-1")
-    p_sweep.add_argument("--scenario-seed", type=int, default=0)
-    p_sweep.add_argument("--max-iters", type=int, default=None, help="budget override")
-    p_sweep.add_argument("--out-dir", default=_default_out_dir())
-    p_sweep.set_defaults(func=cmd_sweep)
+    batch_parsers = ((p_cmp, 20, "instance-generation seed"), (p_sweep, 5, None))
+    for p_batch, seeds, seed_help in batch_parsers:
+        p_batch.add_argument("scenario", choices=sorted(SCENARIO_BUILDERS))
+        p_batch.add_argument("--seeds", type=int, default=seeds, help="run seeds 0..N-1")
+        p_batch.add_argument("--scenario-seed", type=int, default=0, help=seed_help)
+        p_batch.add_argument("--max-iters", type=int, default=None, help="budget override")
+        p_batch.add_argument("--out-dir", default=_default_out_dir())
+        p_batch.set_defaults(func=cmd_batch)
 
     p_check = sub.add_parser(
         "check", help="certify a saved allocation against a problem config"

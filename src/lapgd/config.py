@@ -9,16 +9,18 @@ One YAML document describes a whole experiment in nested sections:
 
 Loaders raise ``ConfigError`` naming the offending field with its full
 dotted path, so a parse failure always says what to fix.
+``build_run_config`` is the one parser of a run-config mapping: it reads
+the ``run`` section here and each ``configs.<label>`` entry of a batch
+manifest, which ``config_to_dict`` writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import yaml
 
-from .experiments import tangent_perturbation
 from .network import (
     Graph,
     NetworkOperator,
@@ -27,6 +29,7 @@ from .network import (
     cycle_graph,
     path_graph,
     read_edge_list,
+    tangent_perturbation,
     watts_strogatz,
 )
 from .objectives import (
@@ -163,18 +166,20 @@ def build_network(section: dict, agent_dim: int) -> tuple:
     return graph, build_laplacian(graph, agent_dim=agent_dim)
 
 
-def build_run_config(section: dict) -> RunConfig:
-    _check_keys(section, [f.name for f in fields(RunConfig)] + ["noise_sigma"], "run")
+def build_run_config(section: dict, path: str = "run") -> RunConfig:
+    """The one mapping-to-RunConfig parser, for a YAML ``run`` section and
+    a manifest's ``configs.<label>`` alike; errors name ``path``."""
+    _check_keys(section, [f.name for f in fields(RunConfig)] + ["noise_sigma"], path)
     if "noise_variance" in section and "noise_sigma" in section:
-        raise ConfigError("run.noise_variance and run.noise_sigma are exclusive")
+        raise ConfigError(f"{path}.noise_variance and {path}.noise_sigma are exclusive")
     variance = float(section.get("noise_variance", 0.0))
     if "noise_sigma" in section:
         variance = float(section["noise_sigma"]) ** 2
     try:
         return RunConfig(
-            algorithm=str(_require(section, "algorithm", "run")).lower(),
-            step_size=float(_require(section, "step_size", "run")),
-            max_iters=int(_require(section, "max_iters", "run")),
+            algorithm=str(_require(section, "algorithm", path)).lower(),
+            step_size=float(_require(section, "step_size", path)),
+            max_iters=int(_require(section, "max_iters", path)),
             noise_variance=variance,
             seed=int(section.get("seed", 0)),
             record_every=int(section.get("record_every", 1)),
@@ -185,7 +190,16 @@ def build_run_config(section: dict) -> RunConfig:
             early_exit=bool(section.get("early_exit", False)),
         )
     except ValueError as exc:
-        raise ConfigError(f"run: {exc}")
+        raise ConfigError(f"{path}: {exc}")
+
+
+def config_to_dict(config: RunConfig) -> dict:
+    """Manifest form of a config, which ``build_run_config`` reads back.
+    The per-run seed is omitted: batch runs derive it from the batch seed
+    and config position."""
+    values = asdict(config)
+    del values["seed"]
+    return {**values, "algorithm": config.algorithm.value}
 
 
 def build_initial_point(section: dict, problem: ProblemInstance) -> np.ndarray:

@@ -2,29 +2,35 @@
 
 A scenario bundles a problem instance, its network operator, a feasible
 reference point (the saddle the noiseless method stalls near), and a set
-of labeled run configurations. Batch helpers run every (seed, config)
-pair from a shared per-seed start, measure when each run escapes the
-reference value, and certify the final iterate. Runs that share a
-record schedule advance together in one stack.
+of labeled run configurations. Both scenarios come from one recipe:
+twenty agents on a small-world graph, the uniform demand split as the
+reference, a noiseless lgd baseline, and its noisy twins
+(``noisy_config``), the rule ``sweep_sigma`` uses as well. Batch helpers
+run every (seed, config) pair from a shared per-seed start, measure when
+each run escapes the reference value, and certify the final iterate.
+Runs that share a record schedule advance together in one stack.
 
 Randomness is split deterministically: the scenario seed spawns child
 streams for the graph, the objective parameters and the scenario's own
 starting point, in that order; each batch seed s derives its start
 perturbation from SeedSequence([s, 0]) and the noise seed of the j-th
-config from SeedSequence([s, 1 + j]). Re-running a manifest therefore
+config from SeedSequence([s, 1 + j]). Exports hold one row per run as
+``summary_rows`` defines it, and the manifest's configs read back
+through ``config.build_run_config``, so re-running a manifest
 reproduces every trace byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .network import Graph, NetworkOperator, build_laplacian, watts_strogatz
+from .config import ConfigError, build_run_config, config_to_dict
+from .network import Graph, NetworkOperator, build_laplacian, tangent_perturbation, watts_strogatz
 from .objectives import (
     ProblemInstance,
     lipschitz_constants,
@@ -92,22 +98,6 @@ class BatchResult:
     escape_delta: float
 
 
-def tangent_perturbation(
-    m: int, n: int, scale: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Gaussian direction projected to zero block sum, rescaled to norm
-    ``scale``. Adding it to a feasible point keeps it feasible."""
-    if scale == 0:
-        return np.zeros(m * n)
-    direction = rng.standard_normal((m, n))
-    direction -= direction.mean(axis=0)
-    flat = direction.reshape(-1)
-    norm = float(np.linalg.norm(flat))
-    if norm == 0:
-        return np.zeros(m * n)
-    return flat * (scale / norm)
-
-
 def _scenario_streams(seed: int) -> tuple:
     graph_ss, param_ss, init_ss = np.random.SeedSequence(seed).spawn(3)
     graph_seed = int(graph_ss.generate_state(1)[0])
@@ -127,53 +117,66 @@ def _noise_seed(seed: int, config_index: int) -> int:
     return int(np.random.SeedSequence([seed, 1 + config_index]).generate_state(1)[0])
 
 
+def noisy_config(baseline: RunConfig, sigma: float) -> RunConfig:
+    """The noisy twin of a noiseless baseline: the same step, budget and
+    records, nlgd with noise standard deviation ``sigma``, no descent
+    monitor (noisy steps need not descend)."""
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    return replace(
+        baseline, algorithm=Algorithm.NLGD, noise_variance=sigma**2, monitor_descent=False
+    )
+
+
+def _sigma_label(sigma: float) -> str:
+    return f"nlgd_sigma_{sigma:g}"
+
+
+def _scenario(name, seed, make_problem, step, budget, noisy) -> Scenario:
+    """Twenty agents on WS(20, 4, 0.2); ``make_problem(m, rng)`` draws the
+    instance, which sets the agent dimension. The reference is the uniform demand split, starts are 1e-3
+    tangent kicks off it, and the configs are a monitored lgd baseline
+    recording every 100 steps plus one noisy twin per (label, sigma)."""
+    m, scale = 20, 1e-3
+    graph_seed, param_rng, init_rng = _scenario_streams(seed)
+    graph = watts_strogatz(m, 4, 0.2, graph_seed)
+    problem = make_problem(m, param_rng)
+    net = build_laplacian(graph, agent_dim=problem.n)
+    base = np.tile(problem.demand / m, m)
+    lgd = RunConfig(
+        algorithm=Algorithm.LGD,
+        step_size=step,
+        max_iters=budget,
+        record_every=100,
+        record_curvature=True,
+        monitor_descent=True,
+    )
+    return Scenario(
+        name=name,
+        seed=seed,
+        problem=problem,
+        net=net,
+        graph=graph,
+        theta_start=base + tangent_perturbation(m, problem.n, scale, init_rng),
+        theta_ref=base.copy(),
+        base_point=base,
+        init_scale=scale,
+        configs={"lgd": lgd, **{label: noisy_config(lgd, s) for label, s in noisy}},
+    )
+
+
 def build_smart_grid_scenario(seed: int = 0) -> Scenario:
     """Twenty generators on a small-world grid, each with a quadratic
     cost minus a log satisfaction term, zero net demand. The origin is a
     feasible stationary saddle; starts are tiny tangent perturbations of
     it. Noise level 0.05 (standard deviation) with step 0.001, budget
     2e5 iterations, recording every 100."""
-    m, n = 20, 1
-    graph_seed, param_rng, init_rng = _scenario_streams(seed)
-    graph = watts_strogatz(m, 4, 0.2, graph_seed)
-    net = build_laplacian(graph, agent_dim=n)
-    a, b = sample_smart_grid_params(m, param_rng)
-    problem = smart_grid_problem(a, b, demand=0.0, agent_dim=n)
 
-    base = np.zeros(m * n)
-    scale = 1e-3
-    theta_start = base + tangent_perturbation(m, n, scale, init_rng)
-    step, sigma, budget, stride = 1e-3, 0.05, 200_000, 100
-    configs = {
-        "lgd": RunConfig(
-            algorithm=Algorithm.LGD,
-            step_size=step,
-            max_iters=budget,
-            record_every=stride,
-            record_curvature=True,
-            monitor_descent=True,
-        ),
-        "nlgd": RunConfig(
-            algorithm=Algorithm.NLGD,
-            step_size=step,
-            max_iters=budget,
-            noise_variance=sigma**2,
-            record_every=stride,
-            record_curvature=True,
-        ),
-    }
-    return Scenario(
-        name="smart_grid",
-        seed=seed,
-        problem=problem,
-        net=net,
-        graph=graph,
-        theta_start=theta_start,
-        theta_ref=base.copy(),
-        base_point=base,
-        init_scale=scale,
-        configs=configs,
-    )
+    def make_problem(m, rng):
+        a, b = sample_smart_grid_params(m, rng)
+        return smart_grid_problem(a, b, demand=0.0, agent_dim=1)
+
+    return _scenario("smart_grid", seed, make_problem, 1e-3, 200_000, [("nlgd", 0.05)])
 
 
 def build_portfolio_scenario(seed: int = 0) -> Scenario:
@@ -182,49 +185,12 @@ def build_portfolio_scenario(seed: int = 0) -> Scenario:
     from the documented defaults. Demand is the all-ones vector, split
     uniformly for the reference point. Step 0.005 with noise levels 0.1,
     0.5 and 1 plus a noiseless baseline, budget 1e5, recording every 100."""
-    m, n = 20, 5
-    graph_seed, param_rng, init_rng = _scenario_streams(seed)
-    graph = watts_strogatz(m, 4, 0.2, graph_seed)
-    net = build_laplacian(graph, agent_dim=n)
-    mu, cov, rw, lw = sample_portfolio_params(m, n, param_rng)
-    demand = np.ones(n)
-    problem = portfolio_problem(mu, cov, rw, lw, demand)
 
-    base = np.tile(demand / m, m)
-    scale = 1e-3
-    theta_start = base + tangent_perturbation(m, n, scale, init_rng)
-    step, budget, stride = 5e-3, 100_000, 100
-    configs = {
-        "lgd": RunConfig(
-            algorithm=Algorithm.LGD,
-            step_size=step,
-            max_iters=budget,
-            record_every=stride,
-            record_curvature=True,
-            monitor_descent=True,
-        ),
-    }
-    for sigma in (0.1, 0.5, 1.0):
-        configs[f"nlgd_sigma_{sigma:g}"] = RunConfig(
-            algorithm=Algorithm.NLGD,
-            step_size=step,
-            max_iters=budget,
-            noise_variance=sigma**2,
-            record_every=stride,
-            record_curvature=True,
-        )
-    return Scenario(
-        name="portfolio",
-        seed=seed,
-        problem=problem,
-        net=net,
-        graph=graph,
-        theta_start=theta_start,
-        theta_ref=base.copy(),
-        base_point=base,
-        init_scale=scale,
-        configs=configs,
-    )
+    def make_problem(m, rng):
+        return portfolio_problem(*sample_portfolio_params(m, 5, rng), np.ones(5))
+
+    noisy = [(_sigma_label(sigma), sigma) for sigma in (0.1, 0.5, 1.0)]
+    return _scenario("portfolio", seed, make_problem, 5e-3, 100_000, noisy)
 
 
 SCENARIO_BUILDERS = {
@@ -339,16 +305,8 @@ def sweep_sigma(scenario: Scenario, sigmas, seeds) -> BatchResult:
         raise ValueError("scenario has no 'lgd' baseline config")
     baseline = scenario.configs["lgd"]
     configs = {"lgd": baseline}
-    for sigma in sigmas:
-        sigma = float(sigma)
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        configs[f"nlgd_sigma_{sigma:g}"] = replace(
-            baseline,
-            algorithm=Algorithm.NLGD,
-            noise_variance=sigma**2,
-            monitor_descent=False,
-        )
+    for sigma in map(float, sigmas):
+        configs[_sigma_label(sigma)] = noisy_config(baseline, sigma)
     return run_batch(scenario, seeds, configs)
 
 
@@ -356,10 +314,12 @@ def sweep_sigma(scenario: Scenario, sigmas, seeds) -> BatchResult:
 # export and replay
 
 
-def fmt_float(value) -> str:
+def _cell(value) -> str:
+    """One exported field: floats by repr, so identical runs give
+    byte-identical files; None as an empty field."""
     if value is None:
         return ""
-    return repr(float(value))
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -368,40 +328,30 @@ def write_trace_csv(trace: Trace, path) -> None:
     lines = [TRACE_HEADER]
     for rec in trace.records:
         values = (rec.f_value, rec.feas_residual, rec.proj_grad_norm, rec.tangent_curvature, rec.dist_to_ref)
-        lines.append(",".join([str(rec.iteration), *map(fmt_float, values)]))
+        lines.append(",".join(map(_cell, (rec.iteration, *values))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def summary_rows(batch: BatchResult) -> list:
-    """One dict per run, sorted by (config label, seed) so the summary is
-    independent of execution order."""
+    """One dict per run, keyed by ``SUMMARY_FIELDS`` and sorted by (config
+    label, seed) so the summary is independent of execution order."""
     rows = []
     for result in sorted(batch.runs, key=lambda r: (r.label, r.seed)):
         report = result.final_report
-        last = result.trace.records[-1]
-        rows.append(
-            {
-                "seed": result.seed,
-                "config": result.label,
-                "escape_iter": result.escape_iteration,
-                "final_f": last.f_value,
-                "final_feas_residual": report.feasibility_residual,
-                "final_proj_grad_norm": report.projected_grad_norm,
-                "final_tangent_curvature": report.tangent_min_curvature,
-                "eps": report.eps,
-                "gamma": report.gamma,
-                "classification": report.classification.value,
-            }
+        values = (
+            result.seed,
+            result.label,
+            result.escape_iteration,
+            result.trace.records[-1].f_value,
+            report.feasibility_residual,
+            report.projected_grad_norm,
+            report.tangent_min_curvature,
+            report.eps,
+            report.gamma,
+            report.classification.value,
         )
+        rows.append(dict(zip(SUMMARY_FIELDS, values)))
     return rows
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    """Manifest form of a config. The per-run seed is omitted: batch runs
-    derive it from the batch seed and config position."""
-    values = asdict(config)
-    del values["seed"]
-    return {**values, "algorithm": config.algorithm.value}
 
 
 def export_traces(batch: BatchResult, out_dir) -> list:
@@ -423,21 +373,7 @@ def export_traces(batch: BatchResult, out_dir) -> list:
     with open(summary_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(SUMMARY_FIELDS)
-        for row in summary_rows(batch):
-            writer.writerow(
-                [
-                    row["seed"],
-                    row["config"],
-                    "" if row["escape_iter"] is None else row["escape_iter"],
-                    fmt_float(row["final_f"]),
-                    fmt_float(row["final_feas_residual"]),
-                    fmt_float(row["final_proj_grad_norm"]),
-                    fmt_float(row["final_tangent_curvature"]),
-                    fmt_float(row["eps"]),
-                    fmt_float(row["gamma"]),
-                    row["classification"],
-                ]
-            )
+        writer.writerows([_cell(v) for v in row.values()] for row in summary_rows(batch))
     written.append(summary_path)
 
     manifest = {
@@ -455,17 +391,6 @@ def export_traces(batch: BatchResult, out_dir) -> list:
     return written
 
 
-def _manifest_config(manifest_path, label: str, values: dict) -> RunConfig:
-    """A manifest's config; an unknown or missing key raises ValueError
-    naming it as configs.<label>.<field>."""
-    known = {f.name for f in fields(RunConfig)}
-    required = {f.name for f in fields(RunConfig) if f.default is MISSING}
-    for kind, names in (("unknown", set(values) - known), ("missing", required - set(values))):
-        if names:
-            raise ValueError(f"{manifest_path}: {kind} field configs.{label}.{min(names)}")
-    return RunConfig(**values)
-
-
 def replay_manifest(manifest_path, out_dir) -> BatchResult:
     """Rebuild the scenario named in a manifest, re-run its batch, and
     export to ``out_dir``; output files match the original byte for byte."""
@@ -475,10 +400,13 @@ def replay_manifest(manifest_path, out_dir) -> BatchResult:
     if name not in SCENARIO_BUILDERS:
         raise ValueError(f"unknown scenario {name!r} in manifest")
     scenario = SCENARIO_BUILDERS[name](int(manifest["scenario"]["seed"]))
-    configs = {
-        label: _manifest_config(manifest_path, label, values)
-        for label, values in manifest["configs"].items()
-    }
+    try:
+        configs = {
+            label: build_run_config(values, path=f"configs.{label}")
+            for label, values in manifest["configs"].items()
+        }
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from exc
     batch = run_batch(scenario, manifest["seeds"], configs)
     export_traces(batch, out_dir)
     return batch

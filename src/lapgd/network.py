@@ -336,6 +336,22 @@ def block_sum(vec: np.ndarray, block_dim: int) -> np.ndarray:
     return vec.reshape(vec.shape[:-1] + (-1, block_dim)).sum(axis=-2)
 
 
+def tangent_perturbation(
+    m: int, n: int, scale: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Gaussian direction projected to zero block sum, rescaled to norm
+    ``scale``. Adding it to a feasible point keeps it feasible."""
+    if scale == 0:
+        return np.zeros(m * n)
+    direction = rng.standard_normal((m, n))
+    direction -= direction.mean(axis=0)
+    flat = direction.reshape(-1)
+    norm = float(np.linalg.norm(flat))
+    if norm == 0:
+        return np.zeros(m * n)
+    return flat * (scale / norm)
+
+
 def read_edge_list(path) -> Graph:
     """Parse a graph from text: first line the node count m, then one
     ``i j`` pair of 0-based node indices per line."""

@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 
 @dataclass(frozen=True)
@@ -316,6 +315,8 @@ def estimate_global_min_sum(problem: ProblemInstance, span: float = 5.0, seed: i
     ``seed + i``, each refined with BFGS using the analytic gradient. The
     best value per agent is an upper bound on its true minimum.
     """
+    import scipy.optimize  # imported at its one use, so importing lapgd does not load it
+
     n = problem.n
     axis_points = np.stack([span * np.eye(n), -span * np.eye(n)], axis=1).reshape(-1, n)
     total = 0.0

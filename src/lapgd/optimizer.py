@@ -549,27 +549,21 @@ def run_many(
     def check_divergence(t: int) -> None:
         theta = stack.theta
         # No row can reach the guard while the squares of the whole stack
-        # sum to less than 0.98 of its square (the 1% margin covers the
-        # rounding of either sum); NaN and inf fail this test and take
-        # the exact path.
+        # sum to less than 0.98 of its square (the margin covers the
+        # rounding of the sum); NaN and inf fail this test and take the
+        # exact row test, where they fail too.
         flat = theta.reshape(-1)
         if np.dot(flat, flat) < 0.98 * DIVERGENCE_NORM**2:
             return
-        sq = np.einsum("ij,ij->i", theta, theta)
-        if (sq < 0.99 * DIVERGENCE_NORM**2).all():
-            return
-        failed = np.zeros(len(theta), dtype=bool)
-        for pos in np.flatnonzero(~(sq < 0.99 * DIVERGENCE_NORM**2)):
-            norm = float(np.linalg.norm(theta[pos]))
-            if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-                failed[pos] = True
-                i = stack.ids[pos]
-                partial = Trace(
-                    records=tuple(records[i]),
-                    final_theta=stack.theta[pos].copy(),
-                    iterations_run=t,
-                )
-                results[i] = DivergenceError(t, partial)
+        failed = ~(row_norms(theta) <= DIVERGENCE_NORM)
+        for pos in np.flatnonzero(failed):
+            i = stack.ids[pos]
+            partial = Trace(
+                records=tuple(records[i]),
+                final_theta=stack.theta[pos].copy(),
+                iterations_run=t,
+            )
+            results[i] = DivergenceError(t, partial)
         if failed.any():
             stack.keep(~failed)
 

@@ -16,9 +16,11 @@ pole a trial point sits close to), bracket that curvature between the
 interlacing bounds lambda_1(H) and lambda_{n+1}(H), and the lower end of
 the bracket is reported.
 
-The auxiliary route certifies in the substituted coordinates instead:
-the auxiliary gradient is S-lifted and the auxiliary Hessian is the
-two-sided sandwich S H S of the block-diagonal Hessian. A certificate
+The auxiliary route certifies in the substituted coordinates
+theta = anchor + B' x, x one n-block per edge, that the lifted steps
+descend: the auxiliary gradient is B-lifted and the auxiliary Hessian is
+the two-sided sandwich (B (x) I) H (B' (x) I) of the block-diagonal
+Hessian, whose nonzero spectrum is that of S H S. A certificate
 (eps, gamma) there transfers to an (eps, gamma / lambda_min_plus)
 certificate at the corresponding allocation, lambda_min_plus being the
 smallest positive Laplacian eigenvalue.
@@ -326,12 +328,15 @@ def classify(
 
 
 def aux_hessian(theta: np.ndarray, problem: ProblemInstance, net: NetworkOperator) -> np.ndarray:
-    """Dense (mn, mn) sandwich S H S of the block-diagonal Hessian at
-    theta, assembled without forming the lifted S."""
+    """Dense (En, En) Hessian (B (x) I) H (B' (x) I) of the auxiliary
+    function x -> F(anchor + B' x) at theta = anchor + B' x, H the
+    block-diagonal Hessian of F; one lifted pass each way, so B may be
+    dense or CSR."""
+    n = problem.n
+    lifted = apply_lifted(net.incidence_t, np.eye(net.edge_count * n), n)
     blocks = hessian_blocks(problem, theta)
-    s = net.sqrt_laplacian
-    mn = problem.m * problem.n
-    sandwich = np.einsum("ik,kj,kab->iajb", s, s, blocks).reshape(mn, mn)
+    curved = np.einsum("iab,jib->jia", blocks, lifted.reshape(-1, problem.m, n))
+    sandwich = apply_lifted(net.incidence, curved.reshape(lifted.shape), n)
     return (sandwich + sandwich.T) / 2.0
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from lapgd.config import build_run_config
 from lapgd.experiments import (
     SUMMARY_FIELDS,
     TRACE_HEADER,
@@ -14,6 +15,7 @@ from lapgd.experiments import (
     config_to_dict,
     escape_iteration,
     export_traces,
+    noisy_config,
     replay_manifest,
     run_batch,
     run_comparison,
@@ -101,6 +103,37 @@ def test_portfolio_scenario_shape():
     assert sc.configs["nlgd_sigma_1"].noise_variance == pytest.approx(1.0)
     res = np.linalg.norm(block_sum(sc.theta_start, 5) - sc.problem.demand)
     assert res <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "builder, noisy",
+    [
+        (build_smart_grid_scenario, {"nlgd": 0.05}),
+        (build_portfolio_scenario, {f"nlgd_sigma_{s:g}": s for s in (0.1, 0.5, 1.0)}),
+    ],
+)
+def test_scenario_configs_are_baseline_and_noisy_twins(builder, noisy):
+    # one rule makes every noisy config: the baseline's twin at sigma
+    configs = builder(0).configs
+    lgd = configs["lgd"]
+    assert configs == {"lgd": lgd, **{label: noisy_config(lgd, s) for label, s in noisy.items()}}
+    twin = noisy_config(lgd, 0.3)
+    assert twin == replace(
+        lgd, algorithm=Algorithm.NLGD, noise_variance=0.3**2, monitor_descent=False
+    )
+    with pytest.raises(ValueError, match="sigma"):
+        noisy_config(lgd, -0.1)
+
+
+def test_sweep_sigma_configs_are_noisy_twins():
+    sc = truncated(build_portfolio_scenario(1), max_iters=200)
+    batch = sweep_sigma(sc, [0.2, 1], [0])
+    lgd = sc.configs["lgd"]
+    assert batch.configs == {
+        "lgd": lgd,
+        "nlgd_sigma_0.2": noisy_config(lgd, 0.2),
+        "nlgd_sigma_1": noisy_config(lgd, 1.0),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +355,14 @@ def test_config_to_dict_round_trip():
     rebuilt = RunConfig(**payload)
     assert rebuilt.noise_variance == sc.configs["nlgd"].noise_variance
     assert rebuilt.max_iters == sc.configs["nlgd"].max_iters
+
+
+def test_manifest_form_reads_back_through_the_config_parser():
+    # one parser reads YAML run sections and manifest entries alike
+    for builder in (build_smart_grid_scenario, build_portfolio_scenario):
+        for config in builder(0).configs.values():
+            config = replace(config, stop_eps=0.1, stop_gamma=0.2, early_exit=True)
+            assert build_run_config(config_to_dict(config), path="configs.x") == config
 
 
 def test_export_traces_files(tmp_path):

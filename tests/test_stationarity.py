@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from scipy.optimize import brentq
 
-from lapgd.network import build_laplacian, cycle_graph, path_graph, watts_strogatz
+from lapgd.network import DENSE_MAX_M, build_laplacian, cycle_graph, path_graph, watts_strogatz
 from lapgd.objectives import (
     ProblemInstance,
     hessian_blocks,
@@ -377,24 +378,25 @@ def test_report_records_inputs():
 
 
 def test_aux_hessian_identity_blocks():
-    # local Hessians I make the sandwich equal the lifted coupling matrix
+    # local Hessians I make the sandwich B B', the edge-space Gram matrix
     problem = quadratic_problem([1.0, 1.0, 1.0], demand=1.0)
     net = build_laplacian(cycle_graph(3))
     sandwich = aux_hessian(np.zeros(3), problem, net)
-    assert np.allclose(sandwich, net.laplacian, atol=1e-10)
+    assert np.allclose(sandwich, net.incidence @ net.incidence_t, atol=1e-10)
 
 
 def test_aux_hessian_saddle_frozen():
-    # local Hessians -2 I: eigenvalues are -2 times the coupling spectrum
+    # local Hessians -2 I on the one edge: B B' = 2, so the single
+    # eigenvalue is -4
     problem = smart_grid_problem([1.0, 1.0], [2.0, 2.0])
     eigs = np.linalg.eigvalsh(aux_hessian(np.zeros(2), problem, two_agent_net()))
+    assert eigs.shape == (1,)
     assert eigs[0] == pytest.approx(-4.0, abs=1e-10)
-    assert eigs[-1] == pytest.approx(0.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_aux_hessian_matches_fd_oracle(seed):
-    # central differences of the lifted gradient of x -> F(anchor + S x)
+    # central differences of the lifted gradient of x -> F(anchor + B' x)
     rng = np.random.default_rng(seed)
     mu, cov, rw, lw = sample_portfolio_params(3, 2, rng)
     problem = portfolio_problem(mu, cov, rw, lw, demand=np.ones(2))
@@ -406,10 +408,10 @@ def test_aux_hessian_matches_fd_oracle(seed):
     from lapgd.objectives import stacked_gradient
 
     def lifted_grad(point):
-        theta = anchor + apply_lifted(net.sqrt_laplacian, point, 2)
-        return apply_lifted(net.sqrt_laplacian, stacked_gradient(problem, theta), 2)
+        theta = anchor + apply_lifted(net.incidence_t, point, 2)
+        return apply_lifted(net.incidence, stacked_gradient(problem, theta), 2)
 
-    theta_x = anchor + apply_lifted(net.sqrt_laplacian, x, 2)
+    theta_x = anchor + apply_lifted(net.incidence_t, x, 2)
     sandwich = aux_hessian(theta_x, problem, net)
     h = 1e-6
     for j in range(6):
@@ -417,6 +419,20 @@ def test_aux_hessian_matches_fd_oracle(seed):
         e[j] = h
         col = (lifted_grad(x + e) - lifted_grad(x - e)) / (2.0 * h)
         assert np.allclose(col, sandwich[:, j], atol=1e-5)
+
+
+@pytest.mark.parametrize("m, n", [(6, 2), (DENSE_MAX_M + 2, 1)])
+def test_aux_hessian_equals_kron_sandwich(m, n):
+    # more edges than nodes, and a CSR incidence above DENSE_MAX_M
+    rng = np.random.default_rng(m)
+    problem = smart_grid_problem(*sample_smart_grid_params(m, rng), agent_dim=n)
+    net = build_laplacian(watts_strogatz(m, 4, 0.3, m), agent_dim=n)
+    theta = rng.normal(scale=0.5, size=m * n)
+    lift = np.kron(scipy.sparse.csr_array(net.incidence).toarray(), np.eye(n))
+    reference = lift @ block_diag(*hessian_blocks(problem, theta)) @ lift.T
+    sandwich = aux_hessian(theta, problem, net)
+    assert sandwich.shape == (net.edge_count * n, net.edge_count * n)
+    assert np.allclose(sandwich, reference, rtol=1e-12, atol=1e-12)
 
 
 def test_transfer_certificate_frozen():

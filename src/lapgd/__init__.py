@@ -56,8 +56,6 @@ from .optimizer import (
     nlgd_step,
     run,
     run_many,
-    sample_perturbation,
-    stack_key,
     theoretical_step_bound,
     variance_for_tolerance,
 )

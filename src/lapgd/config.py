@@ -53,6 +53,17 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
+def _integer(section: dict, key: str, path: str, default=None) -> int:
+    """An integer field; an integral float such as 1.0e5 passes, 10.5 and
+    booleans do not."""
+    value = _require(section, key, path) if default is None else section.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
+
+
 def _check_keys(section: dict, allowed, path: str):
     unknown = set(section) - set(allowed)
     if unknown:
@@ -179,10 +190,10 @@ def build_run_config(section: dict, path: str = "run") -> RunConfig:
         return RunConfig(
             algorithm=str(_require(section, "algorithm", path)).lower(),
             step_size=float(_require(section, "step_size", path)),
-            max_iters=int(_require(section, "max_iters", path)),
+            max_iters=_integer(section, "max_iters", path),
             noise_variance=variance,
-            seed=int(section.get("seed", 0)),
-            record_every=int(section.get("record_every", 1)),
+            seed=_integer(section, "seed", path, 0),
+            record_every=_integer(section, "record_every", path, 1),
             record_curvature=bool(section.get("record_curvature", False)),
             monitor_descent=bool(section.get("monitor_descent", False)),
             stop_eps=section.get("stop_eps"),

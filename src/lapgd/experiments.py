@@ -8,7 +8,7 @@ reference, a noiseless lgd baseline, and its noisy twins
 (``noisy_config``), the rule ``sweep_sigma`` uses as well. Batch helpers
 run every (seed, config) pair from a shared per-seed start, measure when
 each run escapes the reference value, and certify the final iterate.
-Runs that share a record schedule advance together in one stack.
+A batch's runs advance together in one stack.
 
 Randomness is split deterministically: the scenario seed spawns child
 streams for the graph, the objective parameters and the scenario's own
@@ -40,7 +40,7 @@ from .objectives import (
     portfolio_problem,
     stacked_value,
 )
-from .optimizer import Algorithm, RunConfig, Trace, curvature_tolerance, run_many, stack_key
+from .optimizer import Algorithm, RunConfig, Trace, curvature_tolerance, run_many
 from .stationarity import Measurement, StationarityReport, default_feas_tol, judge, measure
 
 TRACE_HEADER = "iter,f_value,feas_residual,proj_grad_norm,tangent_curvature,dist_to_ref"
@@ -236,10 +236,10 @@ def run_batch(scenario: Scenario, seeds, configs: dict) -> BatchResult:
     """Run every (seed, config) pair; all configs under one seed share the
     same starting point.
 
-    Pairs that share a record schedule (``optimizer.stack_key``) advance
-    together in one ``run_many`` stack; each run's trace is the one it
-    gets alone. Results come seeds outermost, configs in insertion order,
-    and a failing run raises its error, the first in that order.
+    All pairs advance together in one ``run_many`` stack, whatever their
+    budgets and record strides; each run's trace is the one it gets
+    alone. Results come seeds outermost, configs in insertion order, and
+    a failing run raises its error, the first in that order.
     """
     seeds = tuple(int(s) for s in seeds)
     if any(s < 0 for s in seeds):
@@ -253,20 +253,13 @@ def run_batch(scenario: Scenario, seeds, configs: dict) -> BatchResult:
         for seed in seeds
         for index, (label, config) in enumerate(configs.items())
     ]
-    stacks = {}
-    for position, (_, _, config) in enumerate(pairs):
-        stacks.setdefault(stack_key(config), []).append(position)
-    outcomes = [None] * len(pairs)
-    for positions in stacks.values():
-        results = run_many(
-            scenario.problem,
-            scenario.net,
-            [starts[pairs[p][0]] for p in positions],
-            [pairs[p][2] for p in positions],
-            theta_ref=scenario.theta_ref,
-        )
-        for position, outcome in zip(positions, results):
-            outcomes[position] = outcome
+    outcomes = run_many(
+        scenario.problem,
+        scenario.net,
+        [starts[seed] for seed, _, _ in pairs],
+        [config for _, _, config in pairs],
+        theta_ref=scenario.theta_ref,
+    )
 
     runs = []
     for (seed, label, config), trace in zip(pairs, outcomes):
@@ -306,7 +299,10 @@ def sweep_sigma(scenario: Scenario, sigmas, seeds) -> BatchResult:
     baseline = scenario.configs["lgd"]
     configs = {"lgd": baseline}
     for sigma in map(float, sigmas):
-        configs[_sigma_label(sigma)] = noisy_config(baseline, sigma)
+        label = _sigma_label(sigma)
+        if label in configs:
+            raise ValueError(f"noise level {sigma:g} repeats config {label!r}")
+        configs[label] = noisy_config(baseline, sigma)
     return run_batch(scenario, seeds, configs)
 
 
@@ -391,22 +387,39 @@ def export_traces(batch: BatchResult, out_dir) -> list:
     return written
 
 
+def _manifest_field(manifest, path: str, kind=object):
+    value = manifest
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ConfigError(f"missing field {path}")
+        value = value[key]
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def replay_manifest(manifest_path, out_dir) -> BatchResult:
-    """Rebuild the scenario named in a manifest, re-run its batch, and
-    export to ``out_dir``; output files match the original byte for byte."""
+    """Rebuild the scenario named in a batch manifest, re-run its batch,
+    and export to ``out_dir``; output files match the original byte for
+    byte. A manifest of another kind or with a missing or invalid field
+    raises ``ConfigError`` naming the manifest and the field."""
     with open(manifest_path, "r", encoding="utf-8") as handle:
         manifest = yaml.safe_load(handle)
-    name = manifest["scenario"]["name"]
-    if name not in SCENARIO_BUILDERS:
-        raise ValueError(f"unknown scenario {name!r} in manifest")
-    scenario = SCENARIO_BUILDERS[name](int(manifest["scenario"]["seed"]))
     try:
+        kind = _manifest_field(manifest, "kind")
+        if kind != "batch":
+            raise ConfigError(f"kind {kind!r} is not a batch manifest")
+        name = _manifest_field(manifest, "scenario.name")
+        if name not in SCENARIO_BUILDERS:
+            raise ConfigError(f"unknown scenario {name!r}")
+        seed = _manifest_field(manifest, "scenario.seed", int)
+        seeds = _manifest_field(manifest, "seeds", list)
         configs = {
             label: build_run_config(values, path=f"configs.{label}")
-            for label, values in manifest["configs"].items()
+            for label, values in _manifest_field(manifest, "configs", dict).items()
         }
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from exc
-    batch = run_batch(scenario, manifest["seeds"], configs)
+    batch = run_batch(SCENARIO_BUILDERS[name](seed), seeds, configs)
     export_traces(batch, out_dir)
     return batch

@@ -19,10 +19,12 @@ recursion and share no update code with the lap-weighted steps, so the
 equivalence is tested rather than assumed.
 
 One engine, ``run_many``, advances a stack of lap-weighted runs that
-share a problem, a network and a record schedule in lockstep: one
-stacked gradient, one stacked lifted apply and one stacked update per
-step for the whole stack. ``run`` is the one-run case, and ``lgd_step``
-/ ``nlgd_step`` are one-run calls of the same update kernel.
+share a problem and a network in lockstep: one stacked gradient, one
+stacked lifted apply and one stacked update per step for the whole
+stack. Budgets and record strides may differ from run to run; each
+block of noise covers the steps up to the next record point of any
+run. ``run`` is the one-run case, and ``lgd_step`` / ``nlgd_step`` are
+one-run calls of the same update kernel.
 """
 
 from __future__ import annotations
@@ -128,6 +130,8 @@ class RunConfig:
             )
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if (self.stop_eps is None) != (self.stop_gamma is None):
             raise ValueError("stop_eps and stop_gamma must be set together")
         for name in ("stop_eps", "stop_gamma"):
@@ -180,23 +184,6 @@ def initial_state(theta_start: np.ndarray, with_aux: bool) -> IterateState:
     aux = np.zeros(()) if with_aux else None
     anchor = theta.copy() if with_aux else None
     return IterateState(theta=theta, iteration=0, aux_x=aux, anchor=anchor)
-
-
-def sample_perturbation(
-    m: int, n: int, noise_variance: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Gaussian vector of m blocks of n values with per-coordinate
-    variance noise_variance; the lifted reference steps draw their E * n
-    edge normals with it.
-
-    Zero variance returns zeros without consuming the stream, so a
-    zero-noise run is bitwise identical to its noiseless twin.
-    """
-    if noise_variance < 0:
-        raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
-    if noise_variance == 0:
-        return np.zeros(m * n)
-    return math.sqrt(noise_variance) * rng.standard_normal(m * n)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +251,7 @@ def _lifted_step(state, problem, net, step_size, noise_variance=0.0, rng=None):
     n = problem.n
     direction = apply_lifted(net.incidence, stacked_gradient(problem, state.theta), n)
     if noise_variance > 0:
-        direction += sample_perturbation(net.edge_count, n, noise_variance, rng)
+        direction += edge_kicks(net, np.sqrt([noise_variance]), [rng], 1)[0, 0]
     aux = state.aux_x - step_size * direction
     theta = state.anchor + apply_lifted(net.incidence_t, aux, n)
     return replace(state, theta=theta, aux_x=aux, iteration=state.iteration + 1)
@@ -382,12 +369,6 @@ def iteration_budget(
 # the run engine
 
 
-def stack_key(config: RunConfig) -> tuple:
-    """Runs whose configs have equal keys share a record schedule and can
-    advance in one ``run_many`` stack."""
-    return (config.max_iters, config.record_every)
-
-
 def _checked_start(
     problem: ProblemInstance, net: NetworkOperator, theta_start
 ) -> np.ndarray:
@@ -452,12 +433,12 @@ def run_many(
 ) -> list:
     """Run a stack of configured runs in lockstep, one start per config.
 
-    The configs must share ``stack_key``: the budget and the record
-    stride. Everything else (the
-    algorithm, step size, noise variance and seed, curvature records,
-    the descent monitor, certification and early exit) is per run, and
-    each run's trace is bitwise the one it would get alone: it keeps its
-    own ``default_rng(seed)`` stream, drawn one block per record stride.
+    Every setting is per run, the budget and the record stride included,
+    and each run's trace is bitwise the one it would get alone: it keeps
+    its own ``default_rng(seed)`` stream. A run records at the iterations
+    that are multiples of its ``record_every`` and at its ``max_iters``;
+    the stack steps up to the next record point of any live run, in
+    blocks of noise drawn for that span.
 
     Starts are checked as in ``run``, and a bad one raises before any run
     starts. A run that diverges or breaks the descent inequality stops at
@@ -471,16 +452,14 @@ def run_many(
         raise ValueError(f"{len(starts)} starts for {len(configs)} configs")
     if not configs:
         return []
-    keys = {stack_key(config) for config in configs}
-    if len(keys) > 1:
-        raise ValueError("runs in one stack must share max_iters and record_every")
-    max_iters, stride = keys.pop()
     if theta_ref is not None:
         theta_ref = np.asarray(theta_ref, dtype=float)
 
     stack = _Stack(starts, configs)
     rngs = [np.random.default_rng(config.seed) for config in configs]
     sigmas = np.sqrt([config.noise_variance for config in configs])
+    budgets = np.array([config.max_iters for config in configs])
+    strides = np.array([config.record_every for config in configs])
     slopes = [None] * len(configs)
     for i, config in enumerate(configs):
         if config.monitor_descent and config.algorithm is Algorithm.LGD:
@@ -490,17 +469,18 @@ def run_many(
     first_certified = [None] * len(configs)
     results = [None] * len(configs)
 
-    def record_all(t: int) -> None:
-        theta = stack.theta
+    def record_due(due: np.ndarray) -> None:
+        theta = stack.theta[due]
         values = stacked_value(problem, theta)
         feas = feasibility_residual(theta, problem.demand)
         proj = projected_grad_norm(theta, problem, net)
         dist = None if theta_ref is None else row_norms(theta - theta_ref)
-        wants = np.array([configs[i].record_curvature for i in stack.ids])
+        ids = stack.ids[due]
+        wants = np.array([configs[i].record_curvature for i in ids])
         curvature = iter(())
         if wants.any():
             curvature = iter(tangent_min_curvature(theta[wants], problem))
-        for pos, i in enumerate(stack.ids):
+        for pos, i in enumerate(ids):
             config = configs[i]
             record = TraceRecord(
                 iteration=t,
@@ -519,18 +499,17 @@ def run_many(
             ):
                 first_certified[i] = t
 
-    def finish(t: int, done: np.ndarray) -> None:
-        if not done.any():
+    def retire(mask: np.ndarray, outcome) -> None:
+        """Take the rows in mask out of the stack at iteration t; what
+        stands in run i's place is outcome(i, trace), given the trace it
+        leaves without a certified iteration."""
+        if not mask.any():
             return
-        for pos in np.flatnonzero(done):
+        for pos in np.flatnonzero(mask):
             i = stack.ids[pos]
-            results[i] = Trace(
-                records=tuple(records[i]),
-                final_theta=stack.theta[pos].copy(),
-                iterations_run=t,
-                first_certified_iter=first_certified[i],
-            )
-        stack.keep(~done)
+            trace = Trace(tuple(records[i]), stack.theta[pos].copy(), t)
+            results[i] = outcome(i, trace)
+        stack.keep(~mask)
 
     def draw_noise(limit: int) -> int:
         """Draw the kicks of the next steps (at most ``limit``) for every
@@ -546,7 +525,7 @@ def run_many(
         )
         return steps
 
-    def check_divergence(t: int) -> None:
+    def check_divergence() -> None:
         theta = stack.theta
         # No row can reach the guard while the squares of the whole stack
         # sum to less than 0.98 of its square (the margin covers the
@@ -556,46 +535,43 @@ def run_many(
         if np.dot(flat, flat) < 0.98 * DIVERGENCE_NORM**2:
             return
         failed = ~(row_norms(theta) <= DIVERGENCE_NORM)
-        for pos in np.flatnonzero(failed):
-            i = stack.ids[pos]
-            partial = Trace(
-                records=tuple(records[i]),
-                final_theta=stack.theta[pos].copy(),
-                iterations_run=t,
-            )
-            results[i] = DivergenceError(t, partial)
-        if failed.any():
-            stack.keep(~failed)
+        retire(failed, lambda i, trace: DivergenceError(t, trace))
 
-    def check_descent(t: int) -> None:
-        rows = np.array([slopes[i] is not None for i in stack.ids])
+    def check_descent() -> None:
+        """Check the monitored runs whose last record is one step old."""
+        rows = np.array(
+            [slopes[i] is not None and records[i][-1].iteration == t - 1 for i in stack.ids]
+        )
         if not rows.any():
             return
         after = stacked_value(problem, stack.theta[rows])
-        failed = np.zeros(len(rows), dtype=bool)
+        errors = {}
         for value, pos in zip(after, np.flatnonzero(rows)):
             i = stack.ids[pos]
             last = records[i][-1]
-            step_sq = (configs[i].step_size * last.proj_grad_norm) ** 2
-            bound = slopes[i] * step_sq
+            bound = slopes[i] * (configs[i].step_size * last.proj_grad_norm) ** 2
             drop = float(value) - last.f_value
             if drop > bound + 1e-9:
-                failed[pos] = True
-                results[i] = DescentViolationError(t - 1, drop, bound)
-        if failed.any():
-            stack.keep(~failed)
+                errors[i] = DescentViolationError(t - 1, drop, bound)
+        failed = np.isin(stack.ids, list(errors))
+        retire(failed, lambda i, trace: errors[i])
 
     t = 0
     while len(stack.ids):
-        record_all(t)
-        done = np.array(
-            [
-                t == max_iters or (configs[i].early_exit and first_certified[i] == t)
-                for i in stack.ids
-            ]
+        due = ((t % strides == 0) | (t == budgets))[stack.ids]
+        if due.any():
+            record_due(due)
+        done = [
+            t == configs[i].max_iters or (configs[i].early_exit and first_certified[i] == t)
+            for i in stack.ids
+        ]
+        retire(
+            np.array(done),
+            lambda i, trace: replace(trace, first_certified_iter=first_certified[i]),
         )
-        finish(t, done)
-        span = min(stride, max_iters - t)
+        if not len(stack.ids):
+            break
+        span = int(np.minimum((t // strides + 1) * strides, budgets)[stack.ids].min()) - t
         chunk_start = chunk_end = 0
         for offset in range(span):
             if not len(stack.ids):
@@ -604,13 +580,13 @@ def run_many(
                 chunk_start, chunk_end = offset, offset + draw_noise(span - offset)
             kick = None if stack.kicks is None else stack.kicks[:, offset - chunk_start]
             stack.theta = _advance(problem, net, stack.theta, stack.step, kick, stack.noisy)
-            check_divergence(t + offset + 1)
+            t += 1
+            check_divergence()
             if offset == 0:
-                check_descent(t + 1)
-        # The stride's kicks are used up; free them now rather than when
-        # the next stride draws its own.
+                check_descent()
+        # The span's kicks are used up; free them now rather than when
+        # the next span draws its own.
         stack.kicks = kick = None
-        t += span
     return results
 
 

@@ -187,6 +187,34 @@ def test_cli_rejects_track_auxiliary(tmp_path, capsys):
     assert "unknown field run.track_auxiliary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("  max_iters: 10.5\n", "run.max_iters must be an integer, got 10.5"),
+        ("  record_every: 2.5\n", "run.record_every must be an integer, got 2.5"),
+        ("  seed: 1.7\n", "run.seed must be an integer, got 1.7"),
+        ("  seed: true\n", "run.seed must be an integer, got True"),
+        ("  seed: -1\n", "run: seed must be >= 0, got -1"),
+    ],
+)
+def test_cli_rejects_bad_integer_run_fields(tmp_path, capsys, line, message):
+    text = QUADRATIC_YAML.replace("  max_iters: 500\n", "") + line
+    if "max_iters" not in line:
+        text += "  max_iters: 500\n"
+    bad = write_config(tmp_path, text)
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_run_fields_read_as_integers():
+    config = build_run_config(
+        {"algorithm": "lgd", "step_size": 0.1, "max_iters": 1.0e5, "record_every": 100.0, "seed": 3.0}
+    )
+    assert (config.max_iters, config.record_every, config.seed) == (100_000, 100, 3)
+    assert all(type(v) is int for v in (config.max_iters, config.record_every, config.seed))
+
+
 def test_init_explicit_values(tmp_path):
     text = QUADRATIC_YAML + "init:\n  kind: explicit\n  values: [0.25, 0.75]\n"
     bundle = load_bundle(write_config(tmp_path, text))
@@ -503,6 +531,13 @@ def test_cli_sweep(tmp_path, capsys):
 def test_cli_sweep_needs_sigmas(tmp_path, capsys):
     assert main(["sweep", "smart_grid", "--sigmas", ",", "--seeds", "1"]) == 2
     assert "at least one" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_repeated_sigmas(tmp_path, capsys):
+    argv = ["sweep", "smart_grid", "--sigmas", "0.1,0.10", "--seeds", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "'nlgd_sigma_0.1'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

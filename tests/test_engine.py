@@ -2,6 +2,7 @@
 get alone, failures are per run, and block noise equals per-step noise."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -155,16 +156,21 @@ def test_batch_traces_equal_independent_runs(family, m, param_seed, specs, seeds
     step = safe_step(problem, net)
     configs = {f"c{k}": make_config(spec, step) for k, spec in enumerate(specs)}
     scenario = scenario_for(problem, net)
-    try:
-        batch = run_batch(scenario, seeds, configs)
-    except (DivergenceError, DescentViolationError) as exc:
+    with mock.patch("lapgd.experiments.run_many", wraps=run_many) as engine:
+        try:
+            batch = run_batch(scenario, seeds, configs)
+        except (DivergenceError, DescentViolationError) as exc:
+            batch = exc
+    # every pair, whatever its budget and record stride, is in one stack
+    assert engine.call_count == 1
+    if isinstance(batch, Exception):
         # the batch raises the error of the first failing run in serial order
         for seed in seeds:
             for index, (label, config) in enumerate(configs.items()):
                 seeded = replace(config, seed=_noise_seed(seed, index))
                 outcome = serial_outcome(scenario, seed, seeded)
                 if isinstance(outcome, Exception):
-                    assert_same_error(exc, outcome)
+                    assert_same_error(batch, outcome)
                     return
         pytest.fail("batch raised but no serial run fails")
     assert [(r.seed, r.label) for r in batch.runs] == [
@@ -254,15 +260,38 @@ def test_batch_raises_first_serial_failure_with_its_partial_trace():
     assert_same_error(err.value, alone.value)
 
 
-def test_run_many_rejects_mixed_schedules():
+def test_run_many_mixes_schedules_in_one_stack(monkeypatch):
     problem, net, step = diverging_setup()
-    start = np.zeros(6)
     configs = [
-        RunConfig(Algorithm.LGD, step, 10, record_every=2),
-        RunConfig(Algorithm.LGD, step, 10, record_every=5),
+        RunConfig(Algorithm.LGD, 0.4 * step, 90, record_every=4, record_curvature=True,
+                  stop_eps=1.5, stop_gamma=0.5, early_exit=True),
+        RunConfig(Algorithm.LGD, 0.3 * step, 37, record_every=5, monitor_descent=True),
+        RunConfig(Algorithm.NLGD, 0.3 * step, 44, noise_variance=0.02, seed=1,
+                  record_every=7, record_curvature=True),
     ]
-    with pytest.raises(ValueError, match="share"):
-        run_many(problem, net, [start, start], configs)
+    rng = np.random.default_rng(4)
+    starts = [tangent_perturbation(6, 1, 0.4, rng) for _ in configs]
+    steps = []
+    advance = optimizer._advance
+
+    def counted(problem, net, theta, *rest):
+        steps.append(len(theta))
+        return advance(problem, net, theta, *rest)
+
+    monkeypatch.setattr(optimizer, "_advance", counted)
+    outcomes = run_many(problem, net, starts, configs)
+    monkeypatch.undo()
+    # one stacked step per iteration, the first for all three runs
+    assert len(steps) == max(trace.iterations_run for trace in outcomes)
+    assert steps[0] == len(configs)
+    for start, config, trace in zip(starts, configs, outcomes):
+        assert_same_trace(trace, run(problem, net, start, config))
+    early, monitored, noisy = outcomes
+    assert early.first_certified_iter == early.iterations_run == 76
+    assert [r.iteration for r in monitored.records] == [0, 5, 10, 15, 20, 25, 30, 35, 37]
+    assert [r.iteration for r in noisy.records] == [0, 7, 14, 21, 28, 35, 42, 44]
+
+    start = np.zeros(6)
     with pytest.raises(ValueError, match="starts"):
         run_many(problem, net, [start], configs[:1] * 2)
     assert run_many(problem, net, [], []) == []

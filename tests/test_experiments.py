@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from lapgd.config import build_run_config
+from lapgd.config import ConfigError, build_run_config
 from lapgd.experiments import (
     SUMMARY_FIELDS,
     TRACE_HEADER,
@@ -442,3 +442,32 @@ def test_replay_names_missing_manifest_field(tmp_path):
     with pytest.raises(ValueError, match="missing field configs.lgd.step_size") as err:
         replay_manifest(path, tmp_path / "replay")
     assert str(path) in str(err.value)
+
+
+def test_replay_rejects_a_run_manifest(tmp_path):
+    path = tmp_path / "manifest.yaml"
+    path.write_text(yaml.safe_dump({"kind": "run", "config": {"run": {}}}))
+    with pytest.raises(ConfigError, match="kind 'run' is not a batch manifest") as err:
+        replay_manifest(path, tmp_path / "replay")
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seeds", None, "missing field seeds"),
+        ("seeds", 3, "seeds must be of type list, got 3"),
+        ("configs", ["lgd"], "configs must be of type dict, got ['lgd']"),
+    ],
+)
+def test_replay_names_missing_or_malformed_fields(tmp_path, key, value, message):
+    path = edited_manifest(tmp_path, lambda config: None)
+    manifest = yaml.safe_load(path.read_text())
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    path.write_text(yaml.safe_dump(manifest, sort_keys=False))
+    with pytest.raises(ConfigError) as err:
+        replay_manifest(path, tmp_path / "replay")
+    assert str(err.value) == f"{path}: {message}"

@@ -27,13 +27,13 @@ from lapgd.optimizer import (
     RunConfig,
     Trace,
     aux_gd_step,
+    aux_ngd_step,
     initial_state,
     iteration_budget,
     lgd_step,
     edge_kicks,
     nlgd_step,
     run,
-    sample_perturbation,
     theoretical_step_bound,
     variance_for_tolerance,
 )
@@ -116,21 +116,17 @@ def test_run_config_rejects_lifted_algorithm():
 # noise
 
 
-def test_sample_perturbation_zero_variance():
+def test_zero_variance_aux_ngd_step_draws_nothing():
+    problem, net = two_agent_quadratic()
+    state = initial_state(np.array([1.0, 0.0]), with_aux=True)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    draw = sample_perturbation(3, 2, 0.0, rng)
-    assert np.array_equal(draw, np.zeros(6))
+    silent = aux_ngd_step(state, problem, net, 0.1, 0.0, rng)
     # the generator must not advance, so a later draw is unaffected
     assert rng.bit_generator.state == before
-
-
-def test_sample_perturbation_moments():
-    rng = np.random.default_rng(123)
-    draws = np.stack([sample_perturbation(2, 1, 0.25, rng) for _ in range(20000)])
-    assert draws.shape == (20000, 2)
-    assert abs(draws.mean()) <= 0.02
-    assert np.allclose(draws.var(axis=0), 0.25, rtol=0.05)
+    plain = aux_gd_step(state, problem, net, 0.1)
+    assert np.array_equal(silent.theta, plain.theta)
+    assert np.array_equal(silent.aux_x, plain.aux_x)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -222,8 +218,6 @@ def test_routes_agree_noiseless():
 
 
 def test_routes_agree_with_shared_noise():
-    from lapgd.optimizer import aux_ngd_step
-
     rng = np.random.default_rng(3)
     a, b = sample_smart_grid_params(4, rng)
     problem = smart_grid_problem(a, b)

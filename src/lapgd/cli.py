@@ -151,6 +151,8 @@ def cmd_params(args) -> int:
     print(f"step_size_bound: {step_bound!r}")
     print(f"noise_variance: {variance!r}")
     print(f"curvature_tolerance: {curv_tol!r}")
+    # the allocation-space gamma that classify and final_report judge by
+    print(f"curvature_tolerance_allocation: {curv_tol / net.lambda_min_plus!r}")
     print(f"iteration_budget: {budget}")
     return EXIT_OK
 

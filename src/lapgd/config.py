@@ -64,6 +64,19 @@ def _integer(section: dict, key: str, path: str, default=None) -> int:
     raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
 
 
+def _real(section: dict, key: str, path: str, default=None) -> float:
+    """A real-number field; a numeric string passes, since YAML 1.1 reads
+    an exponent without a dot such as 1e-6 as a string; booleans, None
+    and other strings do not."""
+    value = _require(section, key, path) if default is None else section.get(key, default)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{path}.{key} must be a real number, got {value!r}")
+
+
 def _check_keys(section: dict, allowed, path: str):
     unknown = set(section) - set(allowed)
     if unknown:
@@ -183,23 +196,29 @@ def build_run_config(section: dict, path: str = "run") -> RunConfig:
     _check_keys(section, [f.name for f in fields(RunConfig)] + ["noise_sigma"], path)
     if "noise_variance" in section and "noise_sigma" in section:
         raise ConfigError(f"{path}.noise_variance and {path}.noise_sigma are exclusive")
-    variance = float(section.get("noise_variance", 0.0))
+    variance = _real(section, "noise_variance", path, 0.0)
     if "noise_sigma" in section:
-        variance = float(section["noise_sigma"]) ** 2
+        sigma = _real(section, "noise_sigma", path)
+        if sigma < 0:
+            raise ConfigError(f"{path}.noise_sigma must be >= 0, got {sigma!r}")
+        variance = sigma**2
     try:
         return RunConfig(
             algorithm=str(_require(section, "algorithm", path)).lower(),
-            step_size=float(_require(section, "step_size", path)),
+            step_size=_real(section, "step_size", path),
             max_iters=_integer(section, "max_iters", path),
             noise_variance=variance,
             seed=_integer(section, "seed", path, 0),
             record_every=_integer(section, "record_every", path, 1),
             record_curvature=bool(section.get("record_curvature", False)),
             monitor_descent=bool(section.get("monitor_descent", False)),
-            stop_eps=section.get("stop_eps"),
-            stop_gamma=section.get("stop_gamma"),
+            # manifests write unset thresholds as null
+            stop_eps=None if section.get("stop_eps") is None else _real(section, "stop_eps", path),
+            stop_gamma=None if section.get("stop_gamma") is None else _real(section, "stop_gamma", path),
             early_exit=bool(section.get("early_exit", False)),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
 

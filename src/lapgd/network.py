@@ -10,6 +10,9 @@ through ``apply_lifted``, so the Kronecker product with the identity is
 never materialized. It is stored dense on small graphs and as CSR on
 large ones, where nothing of size m x m is ever formed; the dense L and
 its PSD square root remain available as references built on demand.
+Only graphs of more than ``DENSE_MAX_M`` nodes load scipy (its sparse
+matrices and ARPACK), and only when their operator is built; a small
+graph is numpy from end to end.
 
 Stacking convention: a stacked vector has length m * n with agent i's
 block at ``v[i * n : (i + 1) * n]``, i.e. ``v.reshape(m, n)`` puts one
@@ -22,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 # Largest node count whose operators are stored dense; above it they are
 # CSR. Set from the measured crossover of the stacked apply (CHANGES.md).
@@ -218,7 +219,7 @@ class NetworkOperator:
     @cached_property
     def laplacian(self) -> np.ndarray:
         lap = self.incidence_t @ self.incidence
-        lap = lap.toarray() if scipy.sparse.issparse(lap) else lap
+        lap = lap if isinstance(lap, np.ndarray) else lap.toarray()
         lap.flags.writeable = False
         return lap
 
@@ -237,7 +238,7 @@ class NetworkOperator:
 
 
 def _read_only(mat):
-    for array in (mat.data, mat.indices, mat.indptr) if scipy.sparse.issparse(mat) else (mat,):
+    for array in (mat,) if isinstance(mat, np.ndarray) else (mat.data, mat.indices, mat.indptr):
         array.flags.writeable = False
     return mat
 
@@ -259,22 +260,27 @@ def build_laplacian(graph: Graph, agent_dim: int = 1) -> NetworkOperator:
     if components != 1:
         raise DisconnectedGraphError(components)
     m, count = graph.m, graph.edge_count
-    incidence = scipy.sparse.csr_array(
-        (
-            np.tile([1.0, -1.0], count),
-            np.asarray(graph.edges, dtype=np.int32).reshape(-1),
-            np.arange(0, 2 * count + 1, 2, dtype=np.int32),
-        ),
-        shape=(count, m),
-    )
-    incidence_t = incidence.T.tocsr()
+    ends = np.asarray(graph.edges, dtype=np.int32)
     if m <= DENSE_MAX_M:
         # Column-major: numpy then hands BLAS each run's product as the
         # axpy-form gemv, measured 15-25% faster on these shapes.
-        incidence, incidence_t = incidence.toarray("F"), incidence_t.toarray("F")
+        incidence = np.zeros((count, m), order="F")
+        incidence[np.arange(count)[:, None], ends] = [1.0, -1.0]
+        incidence_t = incidence.T.copy(order="F")
         eigvals = np.linalg.eigvalsh(incidence_t @ incidence)
         lam_min_plus, lam_max = eigvals[1], eigvals[-1]
     else:
+        import scipy.sparse.linalg  # only graphs above DENSE_MAX_M load scipy
+
+        incidence = scipy.sparse.csr_array(
+            (
+                np.tile([1.0, -1.0], count),
+                ends.reshape(-1),
+                np.arange(0, 2 * count + 1, 2, dtype=np.int32),
+            ),
+            shape=(count, m),
+        )
+        incidence_t = incidence.T.tocsr()
         lap = incidence_t @ incidence
         start = np.random.default_rng(0).standard_normal(m)
         (lam_max,) = scipy.sparse.linalg.eigsh(
@@ -296,7 +302,7 @@ def build_laplacian(graph: Graph, agent_dim: int = 1) -> NetworkOperator:
 def apply_lifted(mat, vec: np.ndarray, block_dim: int) -> np.ndarray:
     """Apply mat (x) I_{block_dim} to a stacked vector without forming it.
 
-    mat is a (q, m) dense array or CSR matrix; for vec of length
+    mat is a (q, m) ndarray or CSR matrix; for vec of length
     m * block_dim the result block i is sum_j mat[i, j] * vec_j. Leading
     run axes on vec are kept, and each run gets the same product it would
     get alone: a dense mat makes one (q, m) by (m, block_dim) product per
@@ -306,9 +312,7 @@ def apply_lifted(mat, vec: np.ndarray, block_dim: int) -> np.ndarray:
     vec = np.asarray(vec)
     if block_dim < 1:
         raise ValueError(f"block_dim must be >= 1, got {block_dim}")
-    dense = isinstance(mat, np.ndarray) or not scipy.sparse.issparse(mat)
-    if dense:
-        mat = np.asarray(mat)
+    dense = isinstance(mat, np.ndarray)
     q, m = mat.shape
     if vec.ndim == 0 or vec.shape[-1] != m * block_dim:
         raise ValueError(

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -362,7 +361,11 @@ def fd_check(problem: ProblemInstance, theta: np.ndarray, step: float = 1e-5) ->
     hess_fd = (hess_fd + hess_fd.T) / 2.0
 
     grad_an = stacked_gradient(problem, theta)
-    hess_an = scipy.linalg.block_diag(*hessian_blocks(problem, theta))
+    m, n = problem.m, problem.n
+    hess_an = np.zeros((m, n, m, n))
+    agents = np.arange(m)
+    hess_an[agents, :, agents, :] = hessian_blocks(problem, theta)
+    hess_an = hess_an.reshape(m * n, m * n)
     grad_err = np.linalg.norm(grad_fd - grad_an) / (1.0 + np.linalg.norm(grad_an))
     hess_err = np.linalg.norm(hess_fd - hess_an) / (1.0 + np.linalg.norm(hess_an))
     return float(grad_err), float(hess_err)

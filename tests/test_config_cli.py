@@ -207,6 +207,39 @@ def test_cli_rejects_bad_integer_run_fields(tmp_path, capsys, line, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("  stop_eps: abc\n  stop_gamma: 0.1\n", "run.stop_eps must be a real number, got 'abc'"),
+        ("  stop_eps: 0.1\n  stop_gamma: [1]\n", "run.stop_gamma must be a real number, got [1]"),
+        ("  noise_sigma: null\n", "run.noise_sigma must be a real number, got None"),
+        ("  noise_sigma: abc\n", "run.noise_sigma must be a real number, got 'abc'"),
+        ("  noise_sigma: -0.05\n", "run.noise_sigma must be >= 0, got -0.05"),
+        ("  noise_variance: true\n", "run.noise_variance must be a real number, got True"),
+        ("  step_size: true\n", "run.step_size must be a real number, got True"),
+    ],
+)
+def test_cli_rejects_bad_real_run_fields(tmp_path, capsys, line, message):
+    text = QUADRATIC_YAML.replace("  step_size: 0.1\n", "") + line
+    if "step_size" not in line:
+        text += "  step_size: 0.1\n"
+    text += "  record_curvature: true\n"
+    bad = write_config(tmp_path, text)
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reads_numeric_strings_in_real_run_fields(tmp_path, capsys):
+    # YAML 1.1 reads 1e-6 (no dot) as a string, like a quoted "0.1"
+    text = QUADRATIC_YAML + '  record_curvature: true\n  stop_eps: "0.1"\n  stop_gamma: 1e-6\n'
+    config = build_run_config(load_config(write_config(tmp_path, text))["run"])
+    assert (config.stop_eps, config.stop_gamma) == (0.1, 1e-6)
+    assert main(["run", str(write_config(tmp_path, text)), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "classification:" in capsys.readouterr().out
+
+
 def test_integral_float_run_fields_read_as_integers():
     config = build_run_config(
         {"algorithm": "lgd", "step_size": 0.1, "max_iters": 1.0e5, "record_every": 100.0, "seed": 3.0}
@@ -419,6 +452,10 @@ def test_cli_params(tmp_path, capsys):
     assert float(values["noise_variance"]) == 0.1**2 / (12 * 6 * 1)
     assert float(values["step_size_bound"]) > 0.0
     assert float(values["curvature_tolerance"]) > 0.0
+    # the allocation-space gamma is the lifted one over lambda_2
+    net = load_bundle(cfg, require_run=False).net
+    lifted = float(values["curvature_tolerance"])
+    assert float(values["curvature_tolerance_allocation"]) == lifted / net.lambda_min_plus
     assert int(values["iteration_budget"]) >= 1
 
 

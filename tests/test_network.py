@@ -1,8 +1,17 @@
 """Graph construction, Laplacian operators, and the lifted matrix action."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lapgd.network import (
     DENSE_MAX_M,
@@ -229,6 +238,90 @@ def test_sparse_references_match_the_dense_path():
     assert np.array_equal(sparse.sqrt_laplacian, dense.sqrt_laplacian)
     assert sparse.lambda_max == pytest.approx(dense.lambda_max, rel=1e-12)
     assert sparse.lambda_min_plus == pytest.approx(dense.lambda_min_plus, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(3, DENSE_MAX_M),
+    k=st.sampled_from([2, 4, 6]),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 1000),
+)
+def test_dense_operators_equal_the_csr_build_bit_for_bit(m, k, p, seed):
+    # a small graph's numpy-built B and B' equal the CSR build made
+    # column-major, flags included, and its spectrum is eigvalsh of B' B
+    import lapgd.network as network
+
+    assume(k < m)
+    graph = watts_strogatz(m, k, p, seed)
+    dense = build_laplacian(graph)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "DENSE_MAX_M", 1)
+        sparse = build_laplacian(graph)
+    for built, csr in ((dense.incidence, sparse.incidence), (dense.incidence_t, sparse.incidence_t)):
+        expected = csr.toarray("F")
+        expected.flags.writeable = False
+        assert built.dtype == expected.dtype and built.shape == expected.shape
+        assert built.flags == expected.flags
+        assert np.array_equal(built, expected)
+    eigvals = np.linalg.eigvalsh(sparse.incidence_t.toarray("F") @ sparse.incidence.toarray("F"))
+    assert (dense.lambda_min_plus, dense.lambda_max) == (float(eigvals[1]), float(eigvals[-1]))
+
+
+def test_small_graph_paths_leave_scipy_unloaded(tmp_path):
+    # up to DENSE_MAX_M nodes the import, a batch with its export and a
+    # CLI run are numpy only; one more node loads scipy's sparse module
+    config = tmp_path / "grid.yaml"
+    config.write_text(
+        textwrap.dedent(
+            """\
+            problem: {family: smart_grid, m: 20, demand: 0.0, param_seed: 0}
+            network: {kind: watts_strogatz, m: 20, k: 4, p: 0.2, seed: 0}
+            run:
+              algorithm: nlgd
+              step_size: 0.001
+              max_iters: 200
+              noise_sigma: 0.05
+              record_every: 100
+              record_curvature: true
+            """
+        ),
+        encoding="utf-8",
+    )
+    script = textwrap.dedent(
+        """\
+        import json, sys
+        from dataclasses import replace
+        from lapgd import build_laplacian, build_smart_grid_scenario, export_traces, run_batch, watts_strogatz
+        from lapgd.cli import main
+
+        def loaded():
+            return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+        out, config = sys.argv[1:]
+        scenario = build_smart_grid_scenario(0)
+        configs = {label: replace(cfg, max_iters=300) for label, cfg in scenario.configs.items()}
+        export_traces(run_batch(scenario, range(2), configs), out + "/batch")
+        code = main(["run", config, "--out-dir", out + "/run"])
+        small = loaded()
+        build_laplacian(watts_strogatz(49, 4, 0.2, 0))
+        print(json.dumps({"code": code, "small": small, "large": loaded()}))
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), str(config)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    reply = json.loads(done.stdout.strip().splitlines()[-1])
+    assert reply["code"] == 0
+    assert reply["small"] == []
+    assert "scipy.sparse" in reply["large"]
 
 
 def test_dense_references_are_built_on_first_access_only():

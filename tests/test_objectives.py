@@ -1,11 +1,7 @@
 """Objective families, stacked evaluation, and derivative checks."""
 
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,17 +404,3 @@ def test_estimate_global_min_sum():
     assert problem.global_min_sum == pytest.approx(expected, abs=1e-12)
     assert estimate_global_min_sum(problem) == pytest.approx(expected, abs=1e-6)
 
-
-def test_import_leaves_scipy_optimize_unloaded():
-    # only estimate_global_min_sum uses it, so only its call may load it
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, lapgd; print('scipy.optimize' in sys.modules)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "False"

@@ -73,6 +73,13 @@ def cmd_run(args) -> int:
 def cmd_batch(args) -> int:
     """compare: the scenario's own configs; sweep: its baseline and one
     noisy twin per --sigmas value."""
+    for flag, value, least in (
+        ("--seeds", args.seeds, 1),
+        ("--scenario-seed", args.scenario_seed, 0),
+        ("--max-iters", args.max_iters, 1),
+    ):
+        if value is not None and value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     scenario = SCENARIO_BUILDERS[args.scenario](args.scenario_seed)
     if args.command == "sweep":
         sigmas = [float(s) for s in args.sigmas.split(",") if s.strip() != ""]

@@ -53,15 +53,17 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
-def _integer(section: dict, key: str, path: str, default=None) -> int:
-    """An integer field; an integral float such as 1.0e5 passes, 10.5 and
-    booleans do not."""
+def _integer(section: dict, key: str, path: str, default=None, minimum=None) -> int:
+    """An integer field, at least ``minimum`` when given; an integral float
+    such as 1.0e5 passes, 10.5 and booleans do not."""
     value = _require(section, key, path) if default is None else section.get(key, default)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{path}.{key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _real(section: dict, key: str, path: str, default=None) -> float:
@@ -92,6 +94,9 @@ def load_config(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping of sections")
     _check_keys(data, ("problem", "network", "run", "init"), str(path))
+    for name, section in data.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"section {name} must be a mapping of fields, got {section!r}")
     return data
 
 
@@ -102,8 +107,8 @@ def build_problem(section: dict) -> ProblemInstance:
         "problem",
     )
     family = _require(section, "family", "problem")
-    m = int(_require(section, "m", "problem"))
-    n = int(section.get("n", 1))
+    m = _integer(section, "m", "problem", minimum=1)
+    n = _integer(section, "n", "problem", 1, minimum=1)
     demand = np.broadcast_to(
         np.atleast_1d(np.asarray(section.get("demand", 0.0), dtype=float)), (n,)
     )
@@ -113,24 +118,35 @@ def build_problem(section: dict) -> ProblemInstance:
         raise ConfigError(
             "problem needs exactly one of problem.params or problem.param_seed"
         )
+    if params is None:
+        param_seed = _integer(section, "param_seed", "problem", minimum=0)
+    elif not isinstance(params, dict):
+        raise ConfigError(f"problem.params must be a mapping of fields, got {params!r}")
 
     if family not in ("quadratic", "smart_grid", "portfolio"):
         raise ConfigError(
             f"problem.family must be quadratic, smart_grid or portfolio, got {family!r}"
         )
     try:
-        return _family_problem(family, m, n, demand, params, param_seed)
+        problem = _family_problem(family, m, n, demand, params, param_seed)
     except ConfigError:
         raise
     except ValueError as exc:
         field = "problem" if params is None else "problem.params"
         raise ConfigError(f"{field}: {exc}") from exc
+    if problem.m != m:
+        # the builder has checked that the params agree with each other
+        first = "mu" if family == "portfolio" else "a"
+        raise ConfigError(
+            f"problem.params.{first} has {problem.m} agents but problem.m is {m}"
+        )
+    return problem
 
 
 def _family_problem(family, m, n, demand, params, param_seed) -> ProblemInstance:
     if family == "quadratic":
         if params is None:
-            rng = np.random.default_rng(int(param_seed))
+            rng = np.random.default_rng(param_seed)
             a = rng.uniform(0.5, 1.5, size=m)
             c = None
         else:
@@ -140,7 +156,7 @@ def _family_problem(family, m, n, demand, params, param_seed) -> ProblemInstance
 
     if family == "smart_grid":
         if params is None:
-            rng = np.random.default_rng(int(param_seed))
+            rng = np.random.default_rng(param_seed)
             a, b = sample_smart_grid_params(m, rng)
         else:
             a = np.asarray(_require(params, "a", "problem.params"), dtype=float)
@@ -148,7 +164,7 @@ def _family_problem(family, m, n, demand, params, param_seed) -> ProblemInstance
         return smart_grid_problem(a, b, demand=demand, agent_dim=n)
 
     if params is None:
-        rng = np.random.default_rng(int(param_seed))
+        rng = np.random.default_rng(param_seed)
         mu, cov, rw, lw = sample_portfolio_params(m, n, rng)
     else:
         mu = np.asarray(_require(params, "mu", "problem.params"), dtype=float)
@@ -167,26 +183,27 @@ def build_network(section: dict, agent_dim: int) -> tuple:
     kind = _require(section, "kind", "network")
     if kind == "edge_list":
         graph = read_edge_list(_require(section, "path", "network"))
+    elif kind in ("watts_strogatz", "path", "cycle", "complete"):
+        m = _integer(section, "m", "network")
+        try:
+            if kind == "watts_strogatz":
+                graph = watts_strogatz(
+                    m,
+                    _integer(section, "k", "network"),
+                    _real(section, "p", "network"),
+                    _integer(section, "seed", "network", 0, minimum=0),
+                )
+            else:
+                graph = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}[kind](m)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"network: {exc}") from exc
     else:
-        m = int(_require(section, "m", "network"))
-        if kind == "watts_strogatz":
-            graph = watts_strogatz(
-                m,
-                int(_require(section, "k", "network")),
-                float(_require(section, "p", "network")),
-                int(section.get("seed", 0)),
-            )
-        elif kind == "path":
-            graph = path_graph(m)
-        elif kind == "cycle":
-            graph = cycle_graph(m)
-        elif kind == "complete":
-            graph = complete_graph(m)
-        else:
-            raise ConfigError(
-                "network.kind must be watts_strogatz, edge_list, path, cycle "
-                f"or complete, got {kind!r}"
-            )
+        raise ConfigError(
+            "network.kind must be watts_strogatz, edge_list, path, cycle "
+            f"or complete, got {kind!r}"
+        )
     return graph, build_laplacian(graph, agent_dim=agent_dim)
 
 
@@ -241,9 +258,9 @@ def build_initial_point(section: dict, problem: ProblemInstance) -> np.ndarray:
     if kind == "uniform_split":
         return base
     if kind == "perturbed":
-        rng = np.random.default_rng(int(section.get("seed", 0)))
+        rng = np.random.default_rng(_integer(section, "seed", "init", 0, minimum=0))
         kick = tangent_perturbation(
-            problem.m, problem.n, float(section.get("scale", 1e-3)), rng
+            problem.m, problem.n, _real(section, "scale", "init", 1e-3), rng
         )
         return base + kick
     if kind == "explicit":

@@ -231,6 +231,59 @@ def test_cli_rejects_bad_real_run_fields(tmp_path, capsys, line, message):
     assert not (tmp_path / "out").exists()
 
 
+def _with_field(text, section, field, value):
+    data = yaml.safe_load(text)
+    data[section][field] = value
+    return yaml.safe_dump(data, sort_keys=False)
+
+
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        ("problem", "m", 20.7, "problem.m must be an integer, got 20.7"),
+        ("problem", "m", "abc", "problem.m must be an integer, got 'abc'"),
+        ("problem", "n", 1.5, "problem.n must be an integer, got 1.5"),
+        ("problem", "param_seed", -1, "problem.param_seed must be >= 0, got -1"),
+        ("network", "m", 20.5, "network.m must be an integer, got 20.5"),
+        ("network", "k", 3.9, "network.k must be an integer, got 3.9"),
+        ("network", "k", True, "network.k must be an integer, got True"),
+        ("network", "k", 3, "network: k must be even, got k=3"),
+        ("network", "p", "abc", "network.p must be a real number, got 'abc'"),
+        ("network", "seed", -5, "network.seed must be >= 0, got -5"),
+        ("init", "scale", "abc", "init.scale must be a real number, got 'abc'"),
+        ("init", "seed", -1, "init.seed must be >= 0, got -1"),
+    ],
+)
+def test_cli_rejects_bad_numeric_fields_outside_run(tmp_path, capsys, section, field, value, message):
+    bad = write_config(tmp_path, _with_field(SMART_GRID_YAML, section, field, value))
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_fields_outside_run_read_as_integers(tmp_path):
+    text = SMART_GRID_YAML
+    for section, field in (("problem", "m"), ("network", "m"), ("network", "k"), ("init", "seed")):
+        text = _with_field(text, section, field, float(yaml.safe_load(text)[section][field]))
+    reference = load_bundle(write_config(tmp_path, SMART_GRID_YAML))
+    bundle = load_bundle(write_config(tmp_path, text))
+    assert bundle.graph == reference.graph
+    assert np.array_equal(bundle.theta_start, reference.theta_start)
+
+
+@pytest.mark.parametrize(
+    "section, value", [("run", 5), ("init", 5), ("init", None), ("problem", [1, 2])]
+)
+def test_cli_rejects_sections_that_are_not_mappings(tmp_path, capsys, section, value):
+    data = yaml.safe_load(SMART_GRID_YAML)
+    data[section] = value
+    bad = write_config(tmp_path, yaml.safe_dump(data, sort_keys=False))
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: section {section} must be a mapping of fields, got {value!r}\n"
+    )
+
+
 def test_cli_reads_numeric_strings_in_real_run_fields(tmp_path, capsys):
     # YAML 1.1 reads 1e-6 (no dot) as a string, like a quoted "0.1"
     text = QUADRATIC_YAML + '  record_curvature: true\n  stop_eps: "0.1"\n  stop_gamma: 1e-6\n'
@@ -500,6 +553,27 @@ def test_cli_params_names_bad_problem_params(tmp_path, capsys, text, good, bad):
     assert capsys.readouterr().err.startswith("error: problem.params: ")
 
 
+@pytest.mark.parametrize(
+    "text, m, message",
+    [
+        (SMART_GRID_PARAMS_YAML, 20, "problem.params.a has 2 agents but problem.m is 20"),
+        (PORTFOLIO_PARAMS_YAML, 3, "problem.params.mu has 2 agents but problem.m is 3"),
+    ],
+    ids=["smart_grid", "portfolio"],
+)
+def test_cli_params_checks_agent_count_against_problem_m(tmp_path, capsys, text, m, message):
+    # the network agrees with problem.m, so only the params are at fault
+    text = text.replace("  m: 2\n", f"  m: {m}\n")
+    assert main(["params", str(write_config(tmp_path, text)), "--grad-tol", "0.1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_params_rejects_params_that_are_not_a_mapping(tmp_path, capsys):
+    text = QUADRATIC_YAML.replace("  params:\n    a: [1.0, 1.0]\n", "  params: 5\n")
+    assert main(["params", str(write_config(tmp_path, text)), "--grad-tol", "0.1"]) == 2
+    assert capsys.readouterr().err == "error: problem.params must be a mapping of fields, got 5\n"
+
+
 def test_cli_compare(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(
@@ -568,6 +642,23 @@ def test_cli_sweep(tmp_path, capsys):
 def test_cli_sweep_needs_sigmas(tmp_path, capsys):
     assert main(["sweep", "smart_grid", "--sigmas", ",", "--seeds", "1"]) == 2
     assert "at least one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "smart_grid", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+        (["compare", "smart_grid", "--seeds", "-2"], "--seeds must be >= 1, got -2"),
+        (["sweep", "smart_grid", "--sigmas", "0.1", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+        (["compare", "portfolio", "--scenario-seed", "-1"], "--scenario-seed must be >= 0, got -1"),
+        (["compare", "smart_grid", "--max-iters", "0"], "--max-iters must be >= 1, got 0"),
+    ],
+)
+def test_cli_batch_rejects_bad_counts(tmp_path, capsys, argv, message):
+    # nothing is written: an empty summary and manifest would pass for a batch
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_rejects_repeated_sigmas(tmp_path, capsys):

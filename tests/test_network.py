@@ -225,6 +225,33 @@ def test_sparse_spectrum_matches_dense_eigensolve(seed):
     assert (again.lambda_min_plus, again.lambda_max) == (net.lambda_min_plus, net.lambda_max)
 
 
+SPARSE_FAMILIES = {
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "complete": complete_graph,
+    "ws_k2": lambda m: watts_strogatz(m, 2, 0.2, seed=0),
+    "ws_k4": lambda m: watts_strogatz(m, 4, 0.2, seed=0),
+    "ws_k8": lambda m: watts_strogatz(m, 8, 0.2, seed=0),
+}
+
+
+@pytest.mark.parametrize("m", [DENSE_MAX_M + 1, 120, 400])
+@pytest.mark.parametrize("family", sorted(SPARSE_FAMILIES))
+def test_sparse_spectrum_matches_dense_eigensolve_across_families(family, m):
+    # the ordered shift-invert gives lambda_2 on near-trees (path, 6e-5
+    # at m = 400) and on the complete graph, where lambda_2 = lambda_max
+    # has multiplicity m - 1
+    graph = SPARSE_FAMILIES[family](m)
+    net = build_laplacian(graph)
+    assert scipy.sparse.issparse(net.incidence)
+    incidence = net.incidence.toarray()
+    eigs = np.linalg.eigvalsh(incidence.T @ incidence)
+    assert net.lambda_min_plus == pytest.approx(eigs[1], rel=1e-10)
+    assert net.lambda_max == pytest.approx(eigs[-1], rel=1e-10)
+    again = build_laplacian(graph)
+    assert (again.lambda_min_plus, again.lambda_max) == (net.lambda_min_plus, net.lambda_max)
+
+
 def test_sparse_references_match_the_dense_path():
     import lapgd.network as network
 

@@ -13,6 +13,7 @@ disconnected graph), 2 input or config error, 3 runtime failure
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -80,11 +81,16 @@ def cmd_batch(args) -> int:
     ):
         if value is not None and value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
-    scenario = SCENARIO_BUILDERS[args.scenario](args.scenario_seed)
     if args.command == "sweep":
-        sigmas = [float(s) for s in args.sigmas.split(",") if s.strip() != ""]
+        try:
+            sigmas = [float(s) for s in args.sigmas.split(",") if s.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(f"--sigmas: {exc}") from exc
         if not sigmas:
             raise ConfigError("--sigmas needs at least one value")
+        if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+            raise ConfigError(f"--sigmas values must be finite and >= 0, got {args.sigmas}")
+    scenario = SCENARIO_BUILDERS[args.scenario](args.scenario_seed)
     if args.max_iters is not None:
         configs = {
             label: replace(cfg, max_iters=args.max_iters) for label, cfg in scenario.configs.items()

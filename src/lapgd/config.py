@@ -32,14 +32,7 @@ from .network import (
     tangent_perturbation,
     watts_strogatz,
 )
-from .objectives import (
-    ProblemInstance,
-    quadratic_problem,
-    sample_portfolio_params,
-    sample_smart_grid_params,
-    smart_grid_problem,
-    portfolio_problem,
-)
+from .objectives import FAMILIES, Family, ProblemInstance
 from .optimizer import RunConfig
 
 
@@ -101,81 +94,54 @@ def load_config(path) -> dict:
 
 
 def build_problem(section: dict) -> ProblemInstance:
-    _check_keys(
-        section,
-        ("family", "m", "n", "demand", "params", "param_seed"),
-        "problem",
-    )
-    family = _require(section, "family", "problem")
+    """Draw or build the problem through its family's entry in ``FAMILIES``."""
+    _check_keys(section, ("family", "m", "n", "demand", "params", "param_seed"), "problem")
+    name = _require(section, "family", "problem")
+    if name not in FAMILIES:
+        raise ConfigError(f"problem.family must be one of {', '.join(FAMILIES)}, got {name!r}")
+    family = FAMILIES[name]
     m = _integer(section, "m", "problem", minimum=1)
     n = _integer(section, "n", "problem", 1, minimum=1)
     demand = np.broadcast_to(
         np.atleast_1d(np.asarray(section.get("demand", 0.0), dtype=float)), (n,)
     )
     params = section.get("params")
-    param_seed = section.get("param_seed")
-    if (params is None) == (param_seed is None):
-        raise ConfigError(
-            "problem needs exactly one of problem.params or problem.param_seed"
-        )
+    if (params is None) == (section.get("param_seed") is None):
+        raise ConfigError("problem needs exactly one of problem.params or problem.param_seed")
     if params is None:
-        param_seed = _integer(section, "param_seed", "problem", minimum=0)
-    elif not isinstance(params, dict):
-        raise ConfigError(f"problem.params must be a mapping of fields, got {params!r}")
-
-    if family not in ("quadratic", "smart_grid", "portfolio"):
-        raise ConfigError(
-            f"problem.family must be quadratic, smart_grid or portfolio, got {family!r}"
-        )
-    try:
-        problem = _family_problem(family, m, n, demand, params, param_seed)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        field = "problem" if params is None else "problem.params"
-        raise ConfigError(f"{field}: {exc}") from exc
-    if problem.m != m:
-        # the builder has checked that the params agree with each other
-        first = "mu" if family == "portfolio" else "a"
-        raise ConfigError(
-            f"problem.params.{first} has {problem.m} agents but problem.m is {m}"
-        )
-    return problem
-
-
-def _family_problem(family, m, n, demand, params, param_seed) -> ProblemInstance:
-    if family == "quadratic":
-        if params is None:
-            rng = np.random.default_rng(param_seed)
-            a = rng.uniform(0.5, 1.5, size=m)
-            c = None
-        else:
-            a = np.asarray(_require(params, "a", "problem.params"), dtype=float)
-            c = params.get("c")
-        return quadratic_problem(a, demand, c_values=c)
-
-    if family == "smart_grid":
-        if params is None:
-            rng = np.random.default_rng(param_seed)
-            a, b = sample_smart_grid_params(m, rng)
-        else:
-            a = np.asarray(_require(params, "a", "problem.params"), dtype=float)
-            b = np.asarray(_require(params, "b", "problem.params"), dtype=float)
-        return smart_grid_problem(a, b, demand=demand, agent_dim=n)
-
-    if params is None:
-        rng = np.random.default_rng(param_seed)
-        mu, cov, rw, lw = sample_portfolio_params(m, n, rng)
+        rng = np.random.default_rng(_integer(section, "param_seed", "problem", minimum=0))
+        field, values = "problem", family.draw_params(m, n, rng)
     else:
-        mu = np.asarray(_require(params, "mu", "problem.params"), dtype=float)
-        cov = np.asarray(_require(params, "cov", "problem.params"), dtype=float)
-        rw = np.asarray(
-            _require(params, "risk_weights", "problem.params"), dtype=float
-        )
-        lw = np.asarray(
-            _require(params, "log_weights", "problem.params"), dtype=float
-        )
-    return portfolio_problem(mu, cov, rw, lw, demand)
+        field, values = "problem.params", _explicit_params(family, params, m, n)
+    try:
+        return family.build(demand, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+
+
+def _explicit_params(family: Family, params, m: int, n: int) -> dict:
+    """The family's fields of ``problem.params`` as arrays that agree with
+    problem.m and problem.n; the builder checks them against each other."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"problem.params must be a mapping of fields, got {params!r}")
+    _check_keys(params, family.fields, "problem.params")
+    values = {}
+    for key in family.fields:
+        if key in params or key not in family.optional:
+            try:
+                values[key] = np.asarray(_require(params, key, "problem.params"), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"problem.params.{key}: {exc}") from exc
+    first = family.fields[0]
+    agents = np.atleast_1d(values[first]).shape[0]
+    if agents != m:
+        raise ConfigError(f"problem.params.{first} has {agents} agents but problem.m is {m}")
+    key = family.dim_field
+    if key in values:
+        dim = values[key].shape[1] if values[key].ndim > 1 else 1
+        if dim != n:
+            raise ConfigError(f"problem.params.{key} has dimension {dim} but problem.n is {n}")
+    return values
 
 
 def build_network(section: dict, agent_dim: int) -> tuple:

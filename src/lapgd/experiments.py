@@ -29,17 +29,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import ConfigError, build_run_config, config_to_dict
+from .config import ConfigError, _integer, build_run_config, config_to_dict
 from .network import Graph, NetworkOperator, build_laplacian, tangent_perturbation, watts_strogatz
-from .objectives import (
-    ProblemInstance,
-    lipschitz_constants,
-    sample_portfolio_params,
-    sample_smart_grid_params,
-    smart_grid_problem,
-    portfolio_problem,
-    stacked_value,
-)
+from .objectives import FAMILIES, ProblemInstance, lipschitz_constants, stacked_value
 from .optimizer import Algorithm, RunConfig, Trace, curvature_tolerance, run_many
 from .stationarity import Measurement, StationarityReport, default_feas_tol, judge, measure
 
@@ -132,15 +124,17 @@ def _sigma_label(sigma: float) -> str:
     return f"nlgd_sigma_{sigma:g}"
 
 
-def _scenario(name, seed, make_problem, step, budget, noisy) -> Scenario:
-    """Twenty agents on WS(20, 4, 0.2); ``make_problem(m, rng)`` draws the
-    instance, which sets the agent dimension. The reference is the uniform demand split, starts are 1e-3
-    tangent kicks off it, and the configs are a monitored lgd baseline
-    recording every 100 steps plus one noisy twin per (label, sigma)."""
+def _scenario(name, seed, demand, step, budget, noisy) -> Scenario:
+    """Twenty agents on WS(20, 4, 0.2) holding the default draw of the
+    family ``name`` over ``demand``, which sets the agent dimension. The
+    reference is the uniform demand split, starts are 1e-3 tangent kicks
+    off it, and the configs are a monitored lgd baseline recording every
+    100 steps plus one noisy twin per (label, sigma)."""
     m, scale = 20, 1e-3
     graph_seed, param_rng, init_rng = _scenario_streams(seed)
     graph = watts_strogatz(m, 4, 0.2, graph_seed)
-    problem = make_problem(m, param_rng)
+    family = FAMILIES[name]
+    problem = family.build(demand, **family.draw_params(m, demand.shape[0], param_rng))
     net = build_laplacian(graph, agent_dim=problem.n)
     base = np.tile(problem.demand / m, m)
     lgd = RunConfig(
@@ -171,12 +165,7 @@ def build_smart_grid_scenario(seed: int = 0) -> Scenario:
     feasible stationary saddle; starts are tiny tangent perturbations of
     it. Noise level 0.05 (standard deviation) with step 0.001, budget
     2e5 iterations, recording every 100."""
-
-    def make_problem(m, rng):
-        a, b = sample_smart_grid_params(m, rng)
-        return smart_grid_problem(a, b, demand=0.0, agent_dim=1)
-
-    return _scenario("smart_grid", seed, make_problem, 1e-3, 200_000, [("nlgd", 0.05)])
+    return _scenario("smart_grid", seed, np.zeros(1), 1e-3, 200_000, [("nlgd", 0.05)])
 
 
 def build_portfolio_scenario(seed: int = 0) -> Scenario:
@@ -185,12 +174,8 @@ def build_portfolio_scenario(seed: int = 0) -> Scenario:
     from the documented defaults. Demand is the all-ones vector, split
     uniformly for the reference point. Step 0.005 with noise levels 0.1,
     0.5 and 1 plus a noiseless baseline, budget 1e5, recording every 100."""
-
-    def make_problem(m, rng):
-        return portfolio_problem(*sample_portfolio_params(m, 5, rng), np.ones(5))
-
     noisy = [(_sigma_label(sigma), sigma) for sigma in (0.1, 0.5, 1.0)]
-    return _scenario("portfolio", seed, make_problem, 5e-3, 100_000, noisy)
+    return _scenario("portfolio", seed, np.ones(5), 5e-3, 100_000, noisy)
 
 
 SCENARIO_BUILDERS = {
@@ -412,8 +397,9 @@ def replay_manifest(manifest_path, out_dir) -> BatchResult:
         name = _manifest_field(manifest, "scenario.name")
         if name not in SCENARIO_BUILDERS:
             raise ConfigError(f"unknown scenario {name!r}")
-        seed = _manifest_field(manifest, "scenario.seed", int)
-        seeds = _manifest_field(manifest, "seeds", list)
+        seed = _integer(manifest["scenario"], "seed", "scenario", minimum=0)
+        listed = dict(enumerate(_manifest_field(manifest, "seeds", list)))
+        seeds = [_integer(listed, i, "seeds", minimum=0) for i in listed]
         configs = {
             label: build_run_config(values, path=f"configs.{label}")
             for label, values in _manifest_field(manifest, "configs", dict).items()

@@ -371,10 +371,11 @@ def tangent_perturbation(
 
 def read_edge_list(path) -> Graph:
     """Parse a graph from text: first line the node count m, then one
-    ``i j`` pair of 0-based node indices per line."""
+    ``i j`` pair of 0-based node indices per line. Everything from a
+    ``#`` to the end of its line is a comment; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    rows = [(k, ln.strip()) for k, ln in enumerate(lines, start=1) if ln.strip()]
+        lines = [ln.split("#", 1)[0].strip() for ln in handle.read().splitlines()]
+    rows = [(k, ln) for k, ln in enumerate(lines, start=1) if ln]
     if not rows:
         raise ValueError(f"{path}: empty edge-list file")
     lineno, head = rows[0]
@@ -386,15 +387,11 @@ def read_edge_list(path) -> Graph:
     for lineno, line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(
-                f"{path}:{lineno}: expected 'i j', got {line!r}"
-            )
+            raise ValueError(f"{path}:{lineno}: expected 'i j', got {line!r}")
         try:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: non-integer node index in {line!r}"
-            )
+            raise ValueError(f"{path}:{lineno}: non-integer node index in {line!r}")
     try:
         return Graph(m, tuple(edges))
     except ValueError as exc:

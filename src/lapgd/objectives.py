@@ -15,14 +15,15 @@ independent runs. One agent's objective is the same function with the
 parameter arrays cut to that agent. Separability makes the global
 gradient the stack of local gradients and the global Hessian block
 diagonal, so evaluation returns per-agent Hessian blocks rather than an
-(mn, mn) matrix.
+(mn, mn) matrix. ``FAMILIES`` declares each family's parameter fields,
+default draw and builder once, for config files and scenarios alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -303,6 +304,42 @@ def sample_portfolio_params(m: int, n: int, rng: np.random.Generator) -> tuple:
     rw = rng.uniform(0.5, 1.5, size=m)
     lw = rng.uniform(0.5, 1.5, size=m)
     return mu, cov, rw, lw
+
+
+# ---------------------------------------------------------------------------
+# the family table: config files and scenarios build every problem through it
+
+
+class Family(NamedTuple):
+    """Parameter ``fields`` in the order ``draw(m, n, rng)`` returns them,
+    the first one's leading axis counting agents; the ``optional`` ones;
+    the ``dim_field`` whose second axis (1 if it has none) is the agent
+    dimension n; ``build(demand, **params)`` on a length-n demand."""
+
+    fields: tuple
+    optional: tuple
+    dim_field: str | None
+    draw: Callable
+    build: Callable
+
+    def draw_params(self, m: int, n: int, rng: np.random.Generator) -> dict:
+        return dict(zip(self.fields, self.draw(m, n, rng)))
+
+
+FAMILIES = {
+    "quadratic": Family(
+        ("a", "c"), ("c",), "c", lambda m, n, rng: (rng.uniform(0.5, 1.5, size=m),),
+        lambda demand, a, c=None: quadratic_problem(a, demand, c_values=c),
+    ),
+    "smart_grid": Family(
+        ("a", "b"), (), None, lambda m, n, rng: sample_smart_grid_params(m, rng),
+        lambda demand, a, b: smart_grid_problem(a, b, demand, agent_dim=demand.shape[0]),
+    ),
+    "portfolio": Family(
+        ("mu", "cov", "risk_weights", "log_weights"), (), "mu", sample_portfolio_params,
+        lambda demand, **params: portfolio_problem(demand=demand, **params),
+    ),
+}
 
 
 def estimate_global_min_sum(problem: ProblemInstance, span: float = 5.0, seed: int = 0) -> float:

@@ -28,6 +28,7 @@ smallest positive Laplacian eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -291,7 +292,11 @@ def judge(
 ) -> StationarityReport:
     """Judge measured residuals against feasibility, an eps bound on the
     projected gradient, and a -gamma floor on tangent curvature. All
-    comparisons are inclusive, so boundary values pass."""
+    comparisons are inclusive, so boundary values pass; a threshold that
+    is negative or not finite raises ValueError."""
+    for name, value in (("eps", eps), ("gamma", gamma), ("feas_tol", feas_tol)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be >= 0 and finite, got {value}")
     if measured.feasibility_residual > feas_tol:
         label = Classification.INFEASIBLE
     elif measured.projected_grad_norm > eps:

@@ -63,6 +63,19 @@ QUADRATIC_YAML = textwrap.dedent(
     """
 )
 
+QUADRATIC_C_YAML = textwrap.dedent(
+    """\
+    problem:
+      family: quadratic
+      m: 3
+      demand: 3.0
+      params: {a: [1, 2, 4], c: [[1], [0], [0]]}
+    network:
+      kind: path
+      m: 3
+    """
+)
+
 
 def write_config(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
@@ -459,6 +472,27 @@ def test_cli_run_non_finite_start_is_input_error(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eps", "nan", "--gamma", "nan"], "eps must be >= 0 and finite, got nan"),
+        (["--eps", "-1"], "eps must be >= 0 and finite, got -1.0"),
+        (["--gamma", "inf"], "gamma must be >= 0 and finite, got inf"),
+    ],
+    ids=["nan", "negative_eps", "infinite_gamma"],
+)
+def test_cli_check_rejects_bad_thresholds(tmp_path, capsys, flags, message):
+    # every comparison with NaN is false, so NaN thresholds once labelled
+    # this non-stationary point first_order_only
+    cfg = write_config(tmp_path, QUADRATIC_C_YAML)
+    state = tmp_path / "state.txt"
+    state.write_text("3.0 0.0 0.0\n")
+    assert main(["check", str(cfg), str(state)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_check_wrong_length(tmp_path, capsys):
     cfg = write_config(tmp_path, QUADRATIC_YAML)
     short = tmp_path / "short.txt"
@@ -478,6 +512,18 @@ def test_cli_spectrum(tmp_path, capsys):
     )
     assert float(values["lambda_min_plus"]) == pytest.approx(2.0 - np.sqrt(2.0))
     assert float(values["lambda_max"]) == pytest.approx(2.0 + np.sqrt(2.0))
+
+
+def test_cli_spectrum_skips_comments(tmp_path, capsys):
+    graph_path = tmp_path / "p4.txt"
+    graph_path.write_text("# a comment\n4  # nodes\n\n0 1  # edge\n1 2\n# 1 3\n2 3\n")
+    assert main(["spectrum", str(graph_path)]) == 0
+    out = capsys.readouterr().out
+    assert "nodes: 4\nedges: 3\ncomponents: 1\n" in out
+    # line numbers still count comment and blank lines
+    graph_path.write_text("# a comment\n4\n0 1 2  # three\n")
+    assert main(["spectrum", str(graph_path)]) == 2
+    assert capsys.readouterr().err == f"error: {graph_path}:3: expected 'i j', got '0 1 2'\n"
 
 
 def test_cli_spectrum_disconnected(tmp_path, capsys):
@@ -568,6 +614,42 @@ def test_cli_params_checks_agent_count_against_problem_m(tmp_path, capsys, text,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+TWO_ASSET_PORTFOLIO_YAML = PORTFOLIO_PARAMS_YAML.replace(
+    "mu: [[0.1], [0.2]]", "mu: [[0.1, 0.3], [0.2, 0.1]]"
+).replace(
+    "cov: [[[1.0]], [[2.0]]]", "cov: [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]]"
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (QUADRATIC_C_YAML.replace(" c:", " cc:"), "unknown field problem.params.cc"),
+        (TWO_ASSET_PORTFOLIO_YAML, "problem.params.mu has dimension 2 but problem.n is 1"),
+        (
+            TWO_ASSET_PORTFOLIO_YAML.replace("  n: 1\n", "  n: 3\n"),
+            "problem.params.mu has dimension 2 but problem.n is 3",
+        ),
+    ],
+    ids=["quadratic_unknown_field", "portfolio_n_below", "portfolio_n_above"],
+)
+def test_cli_run_checks_params_against_family_schema(tmp_path, capsys, text, message):
+    # each of these once ran silently (c = 0, or n = 2) or failed in numpy
+    cfg = write_config(tmp_path, text + "run: {algorithm: lgd, step_size: 0.1, max_iters: 50}\n")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_builds_explicit_params_of_declared_dimension(tmp_path):
+    portfolio = TWO_ASSET_PORTFOLIO_YAML.replace("  n: 1\n", "  n: 2\n")
+    bundle = load_bundle(write_config(tmp_path, portfolio), require_run=False)
+    assert (bundle.problem.m, bundle.problem.n) == (2, 2)
+    quadratic = QUADRATIC_C_YAML
+    problem = load_bundle(write_config(tmp_path, quadratic), require_run=False).problem
+    assert problem.global_min_sum == pytest.approx(-0.5)
+
+
 def test_cli_params_rejects_params_that_are_not_a_mapping(tmp_path, capsys):
     text = QUADRATIC_YAML.replace("  params:\n    a: [1.0, 1.0]\n", "  params: 5\n")
     assert main(["params", str(write_config(tmp_path, text)), "--grad-tol", "0.1"]) == 2
@@ -652,6 +734,14 @@ def test_cli_sweep_needs_sigmas(tmp_path, capsys):
         (["sweep", "smart_grid", "--sigmas", "0.1", "--seeds", "0"], "--seeds must be >= 1, got 0"),
         (["compare", "portfolio", "--scenario-seed", "-1"], "--scenario-seed must be >= 0, got -1"),
         (["compare", "smart_grid", "--max-iters", "0"], "--max-iters must be >= 1, got 0"),
+        (
+            ["sweep", "smart_grid", "--sigmas", "0.1,abc"],
+            "--sigmas: could not convert string to float: 'abc'",
+        ),
+        (
+            ["sweep", "smart_grid", "--sigmas", "nan"],
+            "--sigmas values must be finite and >= 0, got nan",
+        ),
     ],
 )
 def test_cli_batch_rejects_bad_counts(tmp_path, capsys, argv, message):

@@ -458,6 +458,14 @@ def test_replay_rejects_a_run_manifest(tmp_path):
         ("seeds", None, "missing field seeds"),
         ("seeds", 3, "seeds must be of type list, got 3"),
         ("configs", ["lgd"], "configs must be of type dict, got ['lgd']"),
+        # seeds are config integers: an integral float passes, these do not
+        ("seeds", [1.5], "seeds.0 must be an integer, got 1.5"),
+        ("seeds", [0, True], "seeds.1 must be an integer, got True"),
+        ("seeds", ["a"], "seeds.0 must be an integer, got 'a'"),
+        ("seeds", [-1], "seeds.0 must be >= 0, got -1"),
+        ("scenario", {"name": "smart_grid", "seed": True}, "scenario.seed must be an integer, got True"),
+        ("scenario", {"name": "smart_grid", "seed": -2}, "scenario.seed must be >= 0, got -2"),
+        ("scenario", {"name": "smart_grid", "seed": "0"}, "scenario.seed must be an integer, got '0'"),
     ],
 )
 def test_replay_names_missing_or_malformed_fields(tmp_path, key, value, message):
@@ -471,3 +479,16 @@ def test_replay_names_missing_or_malformed_fields(tmp_path, key, value, message)
     with pytest.raises(ConfigError) as err:
         replay_manifest(path, tmp_path / "replay")
     assert str(err.value) == f"{path}: {message}"
+
+
+def test_replay_accepts_integral_float_seeds(tmp_path):
+    # as in config files, 1.0 is the integer 1
+    path = edited_manifest(tmp_path, lambda config: None)
+    manifest = yaml.safe_load(path.read_text())
+    manifest["scenario"]["seed"] = 0.0
+    manifest["seeds"] = [0.0]
+    path.write_text(yaml.safe_dump(manifest, sort_keys=False))
+    batch = replay_manifest(path, tmp_path / "replay")
+    assert (batch.scenario_seed, batch.seeds) == (0, (0,))
+    for name in ("summary.csv", "trace_lgd_seed0.csv", "trace_nlgd_seed0.csv"):
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "replay" / name).read_bytes()

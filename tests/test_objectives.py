@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lapgd.objectives import (
+    FAMILIES,
     estimate_global_min_sum,
     fd_check,
     hessian_blocks,
@@ -24,6 +25,32 @@ from lapgd.objectives import (
 def _agent(problem, i):
     # agent i's parameter arrays, cut from the problem's own
     return tuple(p[i : i + 1] for p in problem.params)
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_table_draws_and_builds_declared_sizes(name):
+    family = FAMILIES[name]
+    assert set(family.optional) <= set(family.fields)
+    assert family.dim_field in (None, *family.fields)
+    params = family.draw_params(4, 3, np.random.default_rng(5))
+    assert set(family.fields) - set(family.optional) <= set(params) <= set(family.fields)
+    assert all(np.shape(value)[0] == 4 for value in params.values())
+    problem = family.build(np.arange(3.0), **params)
+    assert (problem.m, problem.n) == (4, 3)
+    assert np.array_equal(problem.demand, np.arange(3.0))
+
+
+def test_family_table_draws_with_the_samplers():
+    drawn = FAMILIES["smart_grid"].draw_params(5, 1, np.random.default_rng(9))
+    sampled = sample_smart_grid_params(5, np.random.default_rng(9))
+    assert all(map(np.array_equal, drawn.values(), sampled))
+    drawn = FAMILIES["portfolio"].draw_params(5, 2, np.random.default_rng(9))
+    sampled = sample_portfolio_params(5, 2, np.random.default_rng(9))
+    assert all(map(np.array_equal, drawn.values(), sampled))
 
 
 # ---------------------------------------------------------------------------

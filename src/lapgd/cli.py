@@ -41,7 +41,7 @@ from .optimizer import (
     theoretical_step_bound,
     variance_for_tolerance,
 )
-from .stationarity import Classification, classify, format_report
+from .stationarity import Classification, classify, format_report, transfer_certificate
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -165,7 +165,8 @@ def cmd_params(args) -> int:
     print(f"noise_variance: {variance!r}")
     print(f"curvature_tolerance: {curv_tol!r}")
     # the allocation-space gamma that classify and final_report judge by
-    print(f"curvature_tolerance_allocation: {curv_tol / net.lambda_min_plus!r}")
+    _, allocation_tol = transfer_certificate(args.grad_tol, curv_tol, net)
+    print(f"curvature_tolerance_allocation: {allocation_tol!r}")
     print(f"iteration_budget: {budget}")
     return EXIT_OK
 

@@ -72,6 +72,15 @@ def _real(section: dict, key: str, path: str, default=None) -> float:
     raise ConfigError(f"{path}.{key} must be a real number, got {value!r}")
 
 
+def _reals(section: dict, key: str, path: str, default=None) -> np.ndarray:
+    """A number or nested lists of numbers, as a float array."""
+    value = _require(section, key, path) if default is None else section.get(key, default)
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.{key} must be real numbers, got {value!r}") from None
+
+
 def _check_keys(section: dict, allowed, path: str):
     unknown = set(section) - set(allowed)
     if unknown:
@@ -102,9 +111,10 @@ def build_problem(section: dict) -> ProblemInstance:
     family = FAMILIES[name]
     m = _integer(section, "m", "problem", minimum=1)
     n = _integer(section, "n", "problem", 1, minimum=1)
-    demand = np.broadcast_to(
-        np.atleast_1d(np.asarray(section.get("demand", 0.0), dtype=float)), (n,)
-    )
+    demand = np.atleast_1d(_reals(section, "demand", "problem", 0.0))
+    if demand.shape not in ((1,), (n,)):
+        raise ConfigError(f"problem.demand has shape {demand.shape} but problem.n is {n}")
+    demand = np.broadcast_to(demand, (n,))
     params = section.get("params")
     if (params is None) == (section.get("param_seed") is None):
         raise ConfigError("problem needs exactly one of problem.params or problem.param_seed")
@@ -128,10 +138,7 @@ def _explicit_params(family: Family, params, m: int, n: int) -> dict:
     values = {}
     for key in family.fields:
         if key in params or key not in family.optional:
-            try:
-                values[key] = np.asarray(_require(params, key, "problem.params"), dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"problem.params.{key}: {exc}") from exc
+            values[key] = _reals(params, key, "problem.params")
     first = family.fields[0]
     agents = np.atleast_1d(values[first]).shape[0]
     if agents != m:
@@ -230,7 +237,7 @@ def build_initial_point(section: dict, problem: ProblemInstance) -> np.ndarray:
         )
         return base + kick
     if kind == "explicit":
-        values = np.asarray(_require(section, "values", "init"), dtype=float).reshape(-1)
+        values = _reals(section, "values", "init").reshape(-1)
         expected = problem.m * problem.n
         if values.shape != (expected,):
             raise ConfigError(

@@ -33,7 +33,7 @@ from .config import ConfigError, _integer, build_run_config, config_to_dict
 from .network import Graph, NetworkOperator, build_laplacian, tangent_perturbation, watts_strogatz
 from .objectives import FAMILIES, ProblemInstance, lipschitz_constants, stacked_value
 from .optimizer import Algorithm, RunConfig, Trace, curvature_tolerance, run_many
-from .stationarity import Measurement, StationarityReport, default_feas_tol, judge, measure
+from .stationarity import StationarityReport, default_feas_tol, judge, measure, transfer_certificate
 
 TRACE_HEADER = "iter,f_value,feas_residual,proj_grad_norm,tangent_curvature,dist_to_ref"
 
@@ -205,16 +205,10 @@ def final_report(
     last = trace.records[-1]
     eps = last.proj_grad_norm
     _, lip_hess = lipschitz_constants(problem)
-    gamma = curvature_tolerance(eps, net.lambda_max, lip_hess) / net.lambda_min_plus
+    _, gamma = transfer_certificate(eps, curvature_tolerance(eps, net.lambda_max, lip_hess), net)
     if last.tangent_curvature is None:
-        measured = measure(trace.final_theta, problem, net)
-    else:
-        measured = Measurement(
-            feasibility_residual=last.feas_residual,
-            projected_grad_norm=last.proj_grad_norm,
-            tangent_min_curvature=last.tangent_curvature,
-        )
-    return judge(measured, eps, gamma, default_feas_tol(problem.demand))
+        last = measure(trace.final_theta, problem, net)
+    return judge(last, eps, gamma, default_feas_tol(problem.demand))
 
 
 def run_batch(scenario: Scenario, seeds, configs: dict) -> BatchResult:

@@ -42,7 +42,15 @@ from .objectives import (
     stacked_gradient,
     stacked_value,
 )
-from .stationarity import feasibility_residual, projected_grad_norm, row_norms, tangent_min_curvature
+from .stationarity import (
+    Classification,
+    default_feas_tol,
+    feasibility_residual,
+    judge,
+    projected_grad_norm,
+    row_norms,
+    tangent_min_curvature,
+)
 
 DIVERGENCE_NORM = 1e12
 START_FEAS_RTOL = 1e-10
@@ -95,9 +103,9 @@ class RunConfig:
     identical traces. Records land every ``record_every`` iterations.
     ``monitor_descent`` checks the noiseless
     sufficient-descent inequality at recorded steps. Setting ``stop_eps``
-    and ``stop_gamma`` flags the first recorded iterate whose projected
-    gradient and tangent curvature meet them; with ``early_exit`` the run
-    stops there.
+    and ``stop_gamma`` flags the first recorded iterate that ``judge``
+    certifies second order against them, feasibility included; with
+    ``early_exit`` the run stops there.
     """
 
     algorithm: Algorithm
@@ -232,7 +240,27 @@ def edge_kicks(net: NetworkOperator, sigmas: np.ndarray, rngs, steps: int) -> np
     return eta
 
 
-def _direct_step(state, problem, net, step_size, noise_variance=0.0, rng=None):
+def lgd_step(
+    state: IterateState,
+    problem: ProblemInstance,
+    net: NetworkOperator,
+    step_size: float,
+) -> IterateState:
+    """One lap-weighted descent step."""
+    return nlgd_step(state, problem, net, step_size, 0.0, None)
+
+
+def nlgd_step(
+    state: IterateState,
+    problem: ProblemInstance,
+    net: NetworkOperator,
+    step_size: float,
+    noise_variance: float,
+    rng: np.random.Generator | None,
+) -> IterateState:
+    """One noisy lap-weighted step: the gradient direction is lifted by
+    the Laplacian, the Gaussian kick (one n-block per edge) by B', both
+    in the same B' apply. With zero variance no kick is drawn."""
     if state.aux_x is not None:
         raise ValueError("lap-weighted step needs a state without aux_x")
     kick = None
@@ -244,7 +272,27 @@ def _direct_step(state, problem, net, step_size, noise_variance=0.0, rng=None):
     return replace(state, theta=theta[0], iteration=state.iteration + 1)
 
 
-def _lifted_step(state, problem, net, step_size, noise_variance=0.0, rng=None):
+def aux_gd_step(
+    state: IterateState,
+    problem: ProblemInstance,
+    net: NetworkOperator,
+    step_size: float,
+) -> IterateState:
+    """One plain gradient step on the auxiliary function: x moves against
+    the B-lifted gradient, theta is re-derived from the anchor."""
+    return aux_ngd_step(state, problem, net, step_size, 0.0, None)
+
+
+def aux_ngd_step(
+    state: IterateState,
+    problem: ProblemInstance,
+    net: NetworkOperator,
+    step_size: float,
+    noise_variance: float,
+    rng: np.random.Generator | None,
+) -> IterateState:
+    """Noisy auxiliary step; the kick's normals enter unlifted, matching
+    the noisy lap-weighted route through the change of variables."""
     # x <- x - alpha (B grad F(theta) + sigma eta), then theta = anchor + B' x
     if state.aux_x is None or state.anchor is None:
         raise ValueError("auxiliary step needs a state carrying aux_x and anchor")
@@ -255,54 +303,6 @@ def _lifted_step(state, problem, net, step_size, noise_variance=0.0, rng=None):
     aux = state.aux_x - step_size * direction
     theta = state.anchor + apply_lifted(net.incidence_t, aux, n)
     return replace(state, theta=theta, aux_x=aux, iteration=state.iteration + 1)
-
-
-def lgd_step(
-    state: IterateState,
-    problem: ProblemInstance,
-    net: NetworkOperator,
-    step_size: float,
-) -> IterateState:
-    """One lap-weighted descent step."""
-    return _direct_step(state, problem, net, step_size)
-
-
-def nlgd_step(
-    state: IterateState,
-    problem: ProblemInstance,
-    net: NetworkOperator,
-    step_size: float,
-    noise_variance: float,
-    rng: np.random.Generator,
-) -> IterateState:
-    """One noisy lap-weighted step: the gradient direction is lifted by
-    the Laplacian, the Gaussian kick (one n-block per edge) by B', both
-    in the same B' apply."""
-    return _direct_step(state, problem, net, step_size, noise_variance, rng)
-
-
-def aux_gd_step(
-    state: IterateState,
-    problem: ProblemInstance,
-    net: NetworkOperator,
-    step_size: float,
-) -> IterateState:
-    """One plain gradient step on the auxiliary function: x moves against
-    the B-lifted gradient, theta is re-derived from the anchor."""
-    return _lifted_step(state, problem, net, step_size)
-
-
-def aux_ngd_step(
-    state: IterateState,
-    problem: ProblemInstance,
-    net: NetworkOperator,
-    step_size: float,
-    noise_variance: float,
-    rng: np.random.Generator,
-) -> IterateState:
-    """Noisy auxiliary step; the kick's normals enter unlifted, matching
-    the noisy lap-weighted route through the change of variables."""
-    return _lifted_step(state, problem, net, step_size, noise_variance, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +465,7 @@ def run_many(
         if config.monitor_descent and config.algorithm is Algorithm.LGD:
             lip_grad, _ = lipschitz_constants(problem)
             slopes[i] = -1.0 / config.step_size + net.lambda_max * lip_grad / 2.0
+    feas_tol = default_feas_tol(problem.demand)
     records = [[] for _ in configs]
     first_certified = [None] * len(configs)
     results = [None] * len(configs)
@@ -491,13 +492,10 @@ def run_many(
                 dist_to_ref=None if dist is None else float(dist[pos]),
             )
             records[i].append(record)
-            if (
-                first_certified[i] is None
-                and config.stop_eps is not None
-                and record.proj_grad_norm <= config.stop_eps
-                and record.tangent_curvature >= -config.stop_gamma
-            ):
-                first_certified[i] = t
+            if first_certified[i] is None and config.stop_eps is not None:
+                report = judge(record, config.stop_eps, config.stop_gamma, feas_tol)
+                if report.classification is Classification.SECOND_ORDER:
+                    first_certified[i] = t
 
     def retire(mask: np.ndarray, outcome) -> None:
         """Take the rows in mask out of the stack at iteration t; what

@@ -266,50 +266,49 @@ def _count_and_step(schur, dschur, ddschur, neg, border=None, offset=None):
 
 @dataclass(frozen=True)
 class Measurement:
-    """The three numbers a certificate is judged on."""
+    """The three numbers a certificate is judged on, named as in ``TraceRecord``."""
 
-    feasibility_residual: float
-    projected_grad_norm: float
-    tangent_min_curvature: float
+    feas_residual: float
+    proj_grad_norm: float
+    tangent_curvature: float
 
 
 def measure(theta: np.ndarray, problem: ProblemInstance, net: NetworkOperator) -> Measurement:
     """Feasibility residual, projected gradient and tangent curvature at
     theta. Non-finite allocations raise ValueError: they have no
-    meaningful residuals, and every comparison with NaN is false."""
+    meaningful residuals."""
     theta = np.asarray(theta, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError("allocation has non-finite values")
     return Measurement(
-        feasibility_residual=feasibility_residual(theta, problem.demand),
-        projected_grad_norm=projected_grad_norm(theta, problem, net),
-        tangent_min_curvature=tangent_min_curvature(theta, problem),
+        feas_residual=feasibility_residual(theta, problem.demand),
+        proj_grad_norm=projected_grad_norm(theta, problem, net),
+        tangent_curvature=tangent_min_curvature(theta, problem),
     )
 
 
-def judge(
-    measured: Measurement, eps: float, gamma: float, feas_tol: float
-) -> StationarityReport:
-    """Judge measured residuals against feasibility, an eps bound on the
-    projected gradient, and a -gamma floor on tangent curvature. All
-    comparisons are inclusive, so boundary values pass; a threshold that
-    is negative or not finite raises ValueError."""
+def judge(measured, eps: float, gamma: float, feas_tol: float) -> StationarityReport:
+    """The one certificate rule: judge a ``Measurement``, or a ``TraceRecord``
+    holding curvature, against feasibility, an eps bound on the projected
+    gradient and a -gamma floor on tangent curvature. Comparisons are
+    inclusive, so boundary values pass, and NaN fails each; a threshold
+    that is negative or not finite raises ValueError."""
     for name, value in (("eps", eps), ("gamma", gamma), ("feas_tol", feas_tol)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-    if measured.feasibility_residual > feas_tol:
+    if not measured.feas_residual <= feas_tol:
         label = Classification.INFEASIBLE
-    elif measured.projected_grad_norm > eps:
+    elif not measured.proj_grad_norm <= eps:
         label = Classification.NOT_STATIONARY
-    elif measured.tangent_min_curvature >= -gamma:
+    elif measured.tangent_curvature >= -gamma:
         label = Classification.SECOND_ORDER
     else:
         label = Classification.FIRST_ORDER_ONLY
 
     return StationarityReport(
-        feasibility_residual=measured.feasibility_residual,
-        projected_grad_norm=measured.projected_grad_norm,
-        tangent_min_curvature=measured.tangent_min_curvature,
+        feasibility_residual=measured.feas_residual,
+        projected_grad_norm=measured.proj_grad_norm,
+        tangent_min_curvature=measured.tangent_curvature,
         classification=label,
         eps=float(eps),
         gamma=float(gamma),

@@ -265,10 +265,18 @@ def _with_field(text, section, field, value):
         ("network", "seed", -5, "network.seed must be >= 0, got -5"),
         ("init", "scale", "abc", "init.scale must be a real number, got 'abc'"),
         ("init", "seed", -1, "init.seed must be >= 0, got -1"),
+        ("problem", "demand", "abc", "problem.demand must be real numbers, got 'abc'"),
+        ("problem", "demand", [1, 2], "problem.demand has shape (2,) but problem.n is 1"),
+        ("init", "values", "abc", "init.values must be real numbers, got 'abc'"),
+        ("init", "values", [1, [2]], "init.values must be real numbers, got [1, [2]]"),
     ],
 )
 def test_cli_rejects_bad_numeric_fields_outside_run(tmp_path, capsys, section, field, value, message):
-    bad = write_config(tmp_path, _with_field(SMART_GRID_YAML, section, field, value))
+    text = _with_field(SMART_GRID_YAML, section, field, value)
+    if field == "values":
+        # only an explicit start reads init.values
+        text = _with_field(text, "init", "kind", "explicit")
+    bad = write_config(tmp_path, text)
     assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()

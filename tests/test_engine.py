@@ -40,6 +40,7 @@ from lapgd.optimizer import (
     run,
     run_many,
 )
+from lapgd.stationarity import Classification, default_feas_tol, judge
 
 ENGINE_SETTINGS = settings(
     max_examples=25,
@@ -119,6 +120,18 @@ def make_config(spec: dict, step: float) -> RunConfig:
     )
 
 
+def first_judged_certified(trace, config, feas_tol):
+    """The first record that ``judge`` certifies second order against
+    the config's stop thresholds, None without thresholds or such a record."""
+    if config.stop_eps is None:
+        return None
+    for record in trace.records:
+        report = judge(record, config.stop_eps, config.stop_gamma, feas_tol)
+        if report.classification is Classification.SECOND_ORDER:
+            return record.iteration
+    return None
+
+
 def assert_same_trace(got, want):
     assert got.records == want.records
     assert np.array_equal(got.final_theta, want.final_theta)
@@ -180,6 +193,10 @@ def test_batch_traces_equal_independent_runs(family, m, param_seed, specs, seeds
         alone = serial_outcome(scenario, result.seed, result.config)
         assert not isinstance(alone, Exception)
         assert_same_trace(result.trace, alone)
+        # the engine's stop test is judge's rule, feasibility included
+        assert result.trace.first_certified_iter == first_judged_certified(
+            result.trace, result.config, default_feas_tol(problem.demand)
+        )
 
 
 def test_sparse_batch_never_builds_the_dense_references():

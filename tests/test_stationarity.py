@@ -20,11 +20,13 @@ from lapgd.objectives import (
 )
 from lapgd.stationarity import (
     Classification,
+    Measurement,
     aux_hessian,
     classify,
     default_feas_tol,
     feasibility_residual,
     format_report,
+    judge,
     projected_grad_norm,
     tangent_min_curvature,
     transfer_certificate,
@@ -334,6 +336,20 @@ def test_classify_boundaries_inclusive():
     assert at_boundary.classification is Classification.SECOND_ORDER
     below = classify(np.zeros(2), saddle, net, 1e-8, -curv - 1e-9)
     assert below.classification is Classification.FIRST_ORDER_ONLY
+
+
+@pytest.mark.parametrize(
+    "measured, label",
+    [
+        ((np.nan, np.nan, 0.0), Classification.INFEASIBLE),
+        ((0.0, np.nan, 0.0), Classification.NOT_STATIONARY),
+        ((0.0, 0.0, np.nan), Classification.FIRST_ORDER_ONLY),
+    ],
+    ids=["feasibility", "gradient", "curvature"],
+)
+def test_judge_never_certifies_nan(measured, label):
+    # every comparison with NaN is false, so only a true comparison may pass a test
+    assert judge(Measurement(*measured), 1e-6, 1e-6, 1e-8).classification is label
 
 
 def test_classify_feas_tol_override():

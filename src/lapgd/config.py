@@ -60,25 +60,48 @@ def _integer(section: dict, key: str, path: str, default=None, minimum=None) -> 
 
 
 def _real(section: dict, key: str, path: str, default=None) -> float:
-    """A real-number field; a numeric string passes, since YAML 1.1 reads
-    an exponent without a dot such as 1e-6 as a string; booleans, None
-    and other strings do not."""
+    """A finite real-number field; a numeric string passes, since YAML 1.1
+    reads an exponent without a dot such as 1e-6 as a string; booleans,
+    None and other strings do not."""
     value = _require(section, key, path) if default is None else section.get(key, default)
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{path}.{key} must be a real number, got {value!r}")
+    try:
+        number = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None:
+        raise ConfigError(f"{path}.{key} must be a real number, got {value!r}")
+    return _finite(number, value, f"{path}.{key}")
 
 
 def _reals(section: dict, key: str, path: str, default=None) -> np.ndarray:
-    """A number or nested lists of numbers, as a float array."""
+    """A finite number or nested lists of them, as a float array; numeric
+    strings pass as in ``_real``, booleans and None do not."""
     value = _require(section, key, path) if default is None else section.get(key, default)
     try:
-        return np.asarray(value, dtype=float)
+        array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key} must be real numbers, got {value!r}") from None
+        array = None
+    if array is None or any(
+        isinstance(x, bool) or x is None for x in np.asarray(value, dtype=object).flat
+    ):
+        raise ConfigError(f"{path}.{key} must be real numbers, got {value!r}")
+    return _finite(array, value, f"{path}.{key}")
+
+
+def _finite(number, value, field: str):
+    """``number``, the float reading of ``value``, if it has no NaN or inf."""
+    if not np.isfinite(number).all():
+        raise ConfigError(f"{field} has a non-finite value, got {value!r}")
+    return number
+
+
+def _flag(section: dict, key: str, path: str) -> bool:
+    """A true/false field, false when absent. YAML reads true, yes, on and
+    their opposites as booleans; a quoted "false" stays a string."""
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}.{key} must be true or false, got {value!r}")
+    return value
 
 
 def _check_keys(section: dict, allowed, path: str):
@@ -200,12 +223,12 @@ def build_run_config(section: dict, path: str = "run") -> RunConfig:
             noise_variance=variance,
             seed=_integer(section, "seed", path, 0),
             record_every=_integer(section, "record_every", path, 1),
-            record_curvature=bool(section.get("record_curvature", False)),
-            monitor_descent=bool(section.get("monitor_descent", False)),
+            record_curvature=_flag(section, "record_curvature", path),
+            monitor_descent=_flag(section, "monitor_descent", path),
             # manifests write unset thresholds as null
             stop_eps=None if section.get("stop_eps") is None else _real(section, "stop_eps", path),
             stop_gamma=None if section.get("stop_gamma") is None else _real(section, "stop_gamma", path),
-            early_exit=bool(section.get("early_exit", False)),
+            early_exit=_flag(section, "early_exit", path),
         )
     except ConfigError:
         raise

@@ -83,14 +83,16 @@ class DivergenceError(RuntimeError):
 
 
 class DescentViolationError(RuntimeError):
-    """Noiseless sufficient-descent inequality failed at a recorded step."""
+    """Noiseless sufficient-descent inequality failed at a recorded step;
+    carries that step's iteration and the trace recorded so far."""
 
-    def __init__(self, iteration: int, drop: float, bound: float):
+    def __init__(self, iteration: int, drop: float, bound: float, trace):
         super().__init__(
             f"descent violation at iteration {iteration}: "
             f"objective changed by {drop:g}, bound {bound:g}"
         )
         self.iteration = iteration
+        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -98,11 +100,11 @@ class RunConfig:
     """Everything a run needs besides the problem and the network.
 
     ``noise_variance`` is the per-coordinate variance of the Gaussian
-    perturbation (must be 0 for the noiseless algorithms). ``seed``
+    perturbation; a run is noiseless when it is 0, as lgd requires. ``seed``
     controls the perturbation stream; identical config and inputs give
     identical traces. Records land every ``record_every`` iterations.
-    ``monitor_descent`` checks the noiseless
-    sufficient-descent inequality at recorded steps. Setting ``stop_eps``
+    ``monitor_descent`` checks a noiseless run's sufficient-descent
+    inequality at recorded steps; noisy runs refuse it. Setting ``stop_eps``
     and ``stop_gamma`` flags the first recorded iterate that ``judge``
     certifies second order against them, feasibility included; with
     ``early_exit`` the run stops there.
@@ -133,9 +135,9 @@ class RunConfig:
                 f"noise_variance must be >= 0 and finite, got {self.noise_variance}"
             )
         if self.noise_variance > 0 and self.algorithm is not Algorithm.NLGD:
-            raise ValueError(
-                f"noise_variance > 0 is invalid for {self.algorithm.value}"
-            )
+            raise ValueError(f"noise_variance > 0 is invalid for {self.algorithm.value}")
+        if self.noise_variance > 0 and self.monitor_descent:
+            raise ValueError("noise_variance > 0 is invalid with monitor_descent")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if self.seed < 0:
@@ -179,7 +181,8 @@ class TraceRecord:
 @dataclass(frozen=True)
 class Trace:
     """Recorded diagnostics plus the final iterate. Record iterations are
-    strictly increasing; the last record is the final iterate."""
+    strictly increasing; the last record is the final iterate, except in
+    the partial trace of a run error, which stops past its last record."""
 
     records: tuple
     final_theta: np.ndarray
@@ -441,10 +444,10 @@ def run_many(
     blocks of noise drawn for that span.
 
     Starts are checked as in ``run``, and a bad one raises before any run
-    starts. A run that diverges or breaks the descent inequality stops at
-    the iteration where that happens, and its ``DivergenceError`` or
-    ``DescentViolationError`` stands in its place in the returned list;
-    the other runs go on. Returns traces (or those errors) in input order.
+    starts. However a run leaves (budget, early exit, divergence, descent
+    violation), it leaves one trace; a failed run's ``DivergenceError`` or
+    ``DescentViolationError`` carries it and stands in its place in the
+    returned list, and the other runs go on. Returns traces or errors in order.
     """
     configs = list(configs)
     starts = [_checked_start(problem, net, start) for start in starts]
@@ -460,11 +463,11 @@ def run_many(
     sigmas = np.sqrt([config.noise_variance for config in configs])
     budgets = np.array([config.max_iters for config in configs])
     strides = np.array([config.record_every for config in configs])
-    slopes = [None] * len(configs)
-    for i, config in enumerate(configs):
-        if config.monitor_descent and config.algorithm is Algorithm.LGD:
-            lip_grad, _ = lipschitz_constants(problem)
-            slopes[i] = -1.0 / config.step_size + net.lambda_max * lip_grad / 2.0
+    lip_grad, _ = lipschitz_constants(problem)
+    slopes = [
+        -1.0 / c.step_size + net.lambda_max * lip_grad / 2.0 if c.monitor_descent else None
+        for c in configs
+    ]
     feas_tol = default_feas_tol(problem.demand)
     records = [[] for _ in configs]
     first_certified = [None] * len(configs)
@@ -497,16 +500,16 @@ def run_many(
                 if report.classification is Classification.SECOND_ORDER:
                     first_certified[i] = t
 
-    def retire(mask: np.ndarray, outcome) -> None:
-        """Take the rows in mask out of the stack at iteration t; what
-        stands in run i's place is outcome(i, trace), given the trace it
-        leaves without a certified iteration."""
+    def retire(mask: np.ndarray, error=None) -> None:
+        """Take the rows in mask out of the stack at iteration t. The run
+        in row pos leaves its trace, or with ``error`` the exception
+        error(pos, trace) that carries it."""
         if not mask.any():
             return
         for pos in np.flatnonzero(mask):
             i = stack.ids[pos]
-            trace = Trace(tuple(records[i]), stack.theta[pos].copy(), t)
-            results[i] = outcome(i, trace)
+            trace = Trace(tuple(records[i]), stack.theta[pos].copy(), t, first_certified[i])
+            results[i] = trace if error is None else error(pos, trace)
         stack.keep(~mask)
 
     def draw_noise(limit: int) -> int:
@@ -533,7 +536,7 @@ def run_many(
         if np.dot(flat, flat) < 0.98 * DIVERGENCE_NORM**2:
             return
         failed = ~(row_norms(theta) <= DIVERGENCE_NORM)
-        retire(failed, lambda i, trace: DivergenceError(t, trace))
+        retire(failed, lambda pos, trace: DivergenceError(t, trace))
 
     def check_descent() -> None:
         """Check the monitored runs whose last record is one step old."""
@@ -542,17 +545,17 @@ def run_many(
         )
         if not rows.any():
             return
+        drop, bound = np.zeros(len(rows)), np.zeros(len(rows))
         after = stacked_value(problem, stack.theta[rows])
-        errors = {}
         for value, pos in zip(after, np.flatnonzero(rows)):
             i = stack.ids[pos]
             last = records[i][-1]
-            bound = slopes[i] * (configs[i].step_size * last.proj_grad_norm) ** 2
-            drop = float(value) - last.f_value
-            if drop > bound + 1e-9:
-                errors[i] = DescentViolationError(t - 1, drop, bound)
-        failed = np.isin(stack.ids, list(errors))
-        retire(failed, lambda i, trace: errors[i])
+            bound[pos] = slopes[i] * (configs[i].step_size * last.proj_grad_norm) ** 2
+            drop[pos] = float(value) - last.f_value
+        retire(
+            drop > bound + 1e-9,
+            lambda pos, trace: DescentViolationError(t - 1, drop[pos], bound[pos], trace),
+        )
 
     t = 0
     while len(stack.ids):
@@ -563,10 +566,7 @@ def run_many(
             t == configs[i].max_iters or (configs[i].early_exit and first_certified[i] == t)
             for i in stack.ids
         ]
-        retire(
-            np.array(done),
-            lambda i, trace: replace(trace, first_certified_iter=first_certified[i]),
-        )
+        retire(np.array(done))
         if not len(stack.ids):
             break
         span = int(np.minimum((t // strides + 1) * strides, budgets)[stack.ids].min()) - t
@@ -600,8 +600,8 @@ def run(
     Guards: the start must be finite and satisfy the demand constraint to
     relative precision; iterates past the norm guard or containing
     non-finite values raise ``DivergenceError`` carrying the partial
-    trace. With ``monitor_descent`` and a noiseless algorithm, each
-    recorded step is checked against the sufficient-descent inequality.
+    trace. With ``monitor_descent`` (noiseless runs only) a recorded step
+    that breaks the sufficient-descent inequality raises ``DescentViolationError``.
     Identical inputs, config and seed reproduce the identical trace. This
     is ``run_many`` on a stack of one.
     """

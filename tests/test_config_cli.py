@@ -230,6 +230,9 @@ def test_cli_rejects_bad_integer_run_fields(tmp_path, capsys, line, message):
         ("  noise_sigma: -0.05\n", "run.noise_sigma must be >= 0, got -0.05"),
         ("  noise_variance: true\n", "run.noise_variance must be a real number, got True"),
         ("  step_size: true\n", "run.step_size must be a real number, got True"),
+        ("  step_size: .nan\n", "run.step_size has a non-finite value, got nan"),
+        ("  noise_sigma: .inf\n", "run.noise_sigma has a non-finite value, got inf"),
+        ("  stop_eps: 'nan'\n  stop_gamma: 0.1\n", "run.stop_eps has a non-finite value, got 'nan'"),
     ],
 )
 def test_cli_rejects_bad_real_run_fields(tmp_path, capsys, line, message):
@@ -241,6 +244,22 @@ def test_cli_rejects_bad_real_run_fields(tmp_path, capsys, line, message):
     assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('  record_curvature: "false"\n', "run.record_curvature must be true or false, got 'false'"),
+        ('  monitor_descent: "no"\n', "run.monitor_descent must be true or false, got 'no'"),
+        ("  early_exit: 1\n", "run.early_exit must be true or false, got 1"),
+        ("  record_curvature: null\n", "run.record_curvature must be true or false, got None"),
+    ],
+)
+def test_cli_rejects_run_flags_that_are_not_booleans(tmp_path, capsys, line, message):
+    bad = write_config(tmp_path, QUADRATIC_YAML + line)
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -269,6 +288,19 @@ def _with_field(text, section, field, value):
         ("problem", "demand", [1, 2], "problem.demand has shape (2,) but problem.n is 1"),
         ("init", "values", "abc", "init.values must be real numbers, got 'abc'"),
         ("init", "values", [1, [2]], "init.values must be real numbers, got [1, [2]]"),
+        ("problem", "demand", None, "problem.demand must be real numbers, got None"),
+        ("problem", "demand", float("nan"), "problem.demand has a non-finite value, got nan"),
+        ("problem", "demand", float("inf"), "problem.demand has a non-finite value, got inf"),
+        ("problem", "demand", True, "problem.demand must be real numbers, got True"),
+        ("problem", "demand", [True], "problem.demand must be real numbers, got [True]"),
+        (
+            "problem",
+            "params",
+            {"a": [1.0, float("nan"), 2.0, 1.0, 1.0, 1.0], "b": [0.0] * 6},
+            "problem.params.a has a non-finite value, got [1.0, nan, 2.0, 1.0, 1.0, 1.0]",
+        ),
+        ("init", "scale", float("nan"), "init.scale has a non-finite value, got nan"),
+        ("network", "p", float("-inf"), "network.p has a non-finite value, got -inf"),
     ],
 )
 def test_cli_rejects_bad_numeric_fields_outside_run(tmp_path, capsys, section, field, value, message):
@@ -276,6 +308,9 @@ def test_cli_rejects_bad_numeric_fields_outside_run(tmp_path, capsys, section, f
     if field == "values":
         # only an explicit start reads init.values
         text = _with_field(text, "init", "kind", "explicit")
+    if field == "params":
+        # explicit params replace the drawn ones
+        text = _with_field(text, "problem", "param_seed", None)
     bad = write_config(tmp_path, text)
     assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -278,6 +278,17 @@ def test_run_divergence_guard():
     assert len(err.value.trace.records) >= 1
 
 
+def test_diverged_run_keeps_its_first_certified_iteration():
+    # thresholds no record can miss certify the start; step 3 then
+    # diverges, and the error's trace still says where it was certified
+    problem, net = two_agent_quadratic()
+    cfg = RunConfig(Algorithm.LGD, 3.0, 100, record_curvature=True, stop_eps=1e9, stop_gamma=1e9)
+    with pytest.raises(DivergenceError) as err:
+        run(problem, net, np.array([1.0, 0.0]), cfg)
+    assert err.value.iteration == 18
+    assert err.value.trace.first_certified_iter == 0
+
+
 def test_record_stride_includes_endpoints():
     problem, net = two_agent_quadratic()
     trace = run(
@@ -363,13 +374,22 @@ def test_descent_monitor_accepts_valid_step():
 
 def test_descent_monitor_catches_lying_smoothness_bound():
     # a problem that understates its gradient Lipschitz constant makes
-    # the guaranteed decrease fail, which the monitor must report
+    # the guaranteed decrease fail, which the monitor must report for lgd
+    # and for nlgd at zero variance alike: both take the same update
     problem, net = two_agent_quadratic()
     bad = replace(problem, lip_grad=1e-6)
-    cfg = RunConfig(Algorithm.LGD, step_size=3.0, max_iters=50, monitor_descent=True)
-    with pytest.raises(DescentViolationError) as err:
-        run(bad, net, np.array([1.0, 0.0]), cfg)
-    assert err.value.iteration == 0
+    start = np.array([1.0, 0.0])
+    for algorithm in Algorithm:
+        cfg = RunConfig(algorithm, step_size=3.0, max_iters=50, monitor_descent=True)
+        with pytest.raises(DescentViolationError) as err:
+            run(bad, net, start, cfg)
+        assert err.value.iteration == 0
+        # the error carries the records up to the violation and the
+        # iterate one step past it
+        one_step = run(bad, net, start, replace(cfg, max_iters=1, monitor_descent=False))
+        assert err.value.trace.records == one_step.records[:1]
+        assert np.array_equal(err.value.trace.final_theta, one_step.final_theta)
+        assert err.value.trace.iterations_run == 1
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +411,9 @@ def test_config_validation():
         RunConfig(Algorithm.LGD, 0.1, 10, stop_eps=1e-3, stop_gamma=1.0)
     with pytest.raises(ValueError, match="early_exit"):
         RunConfig(Algorithm.LGD, 0.1, 10, early_exit=True)
+    # the descent inequality holds only for noiseless runs
+    with pytest.raises(ValueError, match="monitor_descent"):
+        RunConfig(Algorithm.NLGD, 0.1, 10, noise_variance=0.5, monitor_descent=True)
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,11 @@ only: descent directions are premultiplied by L as B' (B g), noisy kicks
 are B' eta with one Gaussian block per edge, and the projected gradient
 is ||B g||. The factor acts block-wise on stacked per-agent vectors
 through ``apply_lifted``, so the Kronecker product with the identity is
-never materialized. It is stored dense on small graphs and as CSR on
-large ones, where nothing of size m x m is ever formed; the dense L and
-its PSD square root remain available as references built on demand.
-Only graphs of more than ``DENSE_MAX_M`` nodes load scipy (its sparse
-matrices and ARPACK), and only when their operator is built; a small
-graph is numpy from end to end.
+never materialized. It is stored dense on small graphs and as its edge
+list on large ones, where nothing of size m x m is formed unless a
+spectrum falls back to the dense solver; the dense L and its PSD square
+root remain available as references built on demand. Every graph size
+is numpy only: scipy is not loaded by anything in this module.
 
 Stacking convention: a stacked vector has length m * n with agent i's
 block at ``v[i * n : (i + 1) * n]``, i.e. ``v.reshape(m, n)`` puts one
@@ -21,14 +20,26 @@ agent per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 # Largest node count whose operators are stored dense; above it they are
-# CSR. Set from the measured crossover of the stacked apply (CHANGES.md).
+# edge lists. Set from the measured crossover of the stacked apply
+# (CHANGES.md).
 DENSE_MAX_M = 48
+
+# Largest Lanczos basis for the spectrum of a graph above DENSE_MAX_M;
+# one whose extremes have not converged by then falls back to the dense
+# eigvalsh. Ring-like graphs need about m steps, and the basis costs
+# O(m k^2) against the dense solver's O(m^3).
+LANCZOS_MAX_STEPS = 500
+
+# Lanczos stops once both Ritz residual bounds are below this times the
+# largest Ritz value; it checks at steps spaced by LANCZOS_CHECK_GROWTH.
+LANCZOS_RTOL = 1e-12
+LANCZOS_CHECK_GROWTH = 1.1
 
 # Connected-graph generation retries before giving up.
 MAX_GRAPH_ATTEMPTS = 100
@@ -183,6 +194,83 @@ def watts_strogatz(m: int, k: int, p: float, seed: int) -> Graph:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeIncidence:
+    """The signed incidence matrix B of a graph held as its edge list, or
+    its transpose B' when ``transposed``.
+
+    Edge e joins ``heads[e]`` (+1) to ``tails[e]`` (-1), heads < tails.
+    On stacked runs B is the gather ``g[heads] - g[tails]`` and B' the
+    per-node sums of the incident edges' values, heads' and tails' each
+    accumulated in edge order by ``np.bincount``; ``toarray`` gives the
+    dense matrix for references. ``heads`` and ``tails`` are read-only.
+    """
+
+    heads: np.ndarray
+    tails: np.ndarray
+    m: int
+    transposed: bool = False
+    _ends: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.heads.flags.writeable = False
+        self.tails.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple:
+        count = len(self.heads)
+        return (self.m, count) if self.transposed else (count, self.m)
+
+    @property
+    def T(self) -> "EdgeIncidence":
+        return replace(self, transposed=not self.transposed)
+
+    def toarray(self) -> np.ndarray:
+        count = len(self.heads)
+        dense = np.zeros((count, self.m))
+        dense[np.arange(count)[:, None], np.column_stack((self.heads, self.tails))] = [1.0, -1.0]
+        return dense.T.copy() if self.transposed else dense
+
+    def laplacian(self) -> np.ndarray:
+        """The dense L = B' B of the graph, from its edges and degrees."""
+        lap = np.zeros((self.m, self.m))
+        lap[self.heads, self.tails] = lap[self.tails, self.heads] = -1.0
+        np.fill_diagonal(lap, -lap.sum(axis=1))
+        return lap
+
+    def apply(self, rows: np.ndarray, block_dim: int) -> np.ndarray:
+        """The lifted product with each row of an (R, columns * n)
+        stack, n = ``block_dim``, as an (R, rows * n) array."""
+        runs = len(rows)
+        heads, tails = self._flat_ends(runs, block_dim)
+        flat = rows.reshape(-1)
+        if self.transposed:
+            size = runs * self.m * block_dim
+            out = np.bincount(heads, flat, minlength=size)
+            out -= np.bincount(tails, flat, minlength=size)
+        else:
+            out = flat.take(heads)
+            out -= flat.take(tails)
+        return out.reshape(runs, -1)
+
+    def _flat_ends(self, runs: int, n: int) -> tuple:
+        """Flat positions in an (R, m, n) node stack of the head and tail
+        ends of every (run, edge, coordinate) entry of an (R, E, n) edge
+        stack: B gathers from them and B' scatters to them. Kept for the
+        last (R, n) and shared with the transpose; writable, since
+        numpy's take and bincount copy a read-only index on every call."""
+        flat_ends = self._ends.get((runs, n))
+        if flat_ends is None:
+            offsets = (np.arange(runs) * self.m)[:, None, None]
+            flat_ends = tuple(
+                ((offsets + ends[None, :, None]) * n + np.arange(n)).reshape(-1)
+                for ends in (self.heads, self.tails)
+            )
+            self._ends.clear()
+            self._ends[(runs, n)] = flat_ends
+        return flat_ends
+
+
 @dataclass(frozen=True)
 class NetworkOperator:
     """The signed incidence factor of a connected graph with its spectral
@@ -190,8 +278,9 @@ class NetworkOperator:
     dimension ``agent_dim``.
 
     ``incidence`` is B, one row per edge (i, j), i < j, with +1 at i and
-    -1 at j, so L = B' B; ``incidence_t`` is B' stored on its own. Both
-    are dense arrays for m <= ``DENSE_MAX_M`` and CSR matrices above.
+    -1 at j, so L = B' B; ``incidence_t`` is B'. Both are dense arrays,
+    each stored on its own, for m <= ``DENSE_MAX_M``, and above it one
+    ``EdgeIncidence`` edge list and its transpose.
     ``lambda_min_plus`` is the second-smallest eigenvalue of L (the
     algebraic connectivity) and ``lambda_max`` the largest, which equals
     ||B||^2.
@@ -218,8 +307,10 @@ class NetworkOperator:
 
     @cached_property
     def laplacian(self) -> np.ndarray:
-        lap = self.incidence_t @ self.incidence
-        lap = lap if isinstance(lap, np.ndarray) else lap.toarray()
+        if isinstance(self.incidence, np.ndarray):
+            lap = self.incidence_t @ self.incidence
+        else:
+            lap = self.incidence.laplacian()
         lap.flags.writeable = False
         return lap
 
@@ -237,10 +328,53 @@ class NetworkOperator:
         return root
 
 
-def _read_only(mat):
-    for array in (mat,) if isinstance(mat, np.ndarray) else (mat.data, mat.indices, mat.indptr):
-        array.flags.writeable = False
-    return mat
+def lanczos_extremes(incidence: EdgeIncidence):
+    """(lambda_2, lambda_max, steps) of L = B' B by Lanczos with full
+    reorthogonalization, or None if the basis reached
+    ``LANCZOS_MAX_STEPS`` first.
+
+    Lanczos runs on L restricted to the complement of the ones vector,
+    its kernel, so the extremes of the Ritz values there are lambda_2 and
+    lambda_max. It starts from a fixed ``default_rng(0)`` vector, so equal
+    graphs give equal numbers, and after each three-term step
+    orthogonalizes the new vector against the whole basis and the ones
+    vector. At steps spaced geometrically
+    by ``LANCZOS_CHECK_GROWTH``, and whenever the new vector nearly
+    vanishes, it takes the eigenpairs of the tridiagonal matrix T and stops
+    once both extreme residual bounds beta_k |s_kj| are at most
+    ``LANCZOS_RTOL`` times the largest Ritz value; after m - 1 steps the
+    basis spans the whole complement and the Ritz values are exact.
+    """
+    m = incidence.shape[1]
+    incidence_t = incidence.T
+    cap = min(LANCZOS_MAX_STEPS, m - 1)
+    basis = np.empty((cap, m))
+    alphas, betas = np.empty(cap), np.empty(cap)
+    vec = np.random.default_rng(0).standard_normal(m)
+    vec -= vec.mean()
+    vec /= np.linalg.norm(vec)
+    check = 1
+    for steps in range(1, cap + 1):
+        basis[steps - 1] = vec
+        out = incidence_t.apply(incidence.apply(vec[None], 1), 1)[0]
+        alphas[steps - 1] = vec @ out
+        # the three-term recurrence, then one full pass against the basis
+        # and the ones vector for what rounding left along them
+        out -= alphas[steps - 1] * vec
+        if steps > 1:
+            out -= betas[steps - 2] * basis[steps - 2]
+        out -= basis[:steps].T @ (basis[:steps] @ out)
+        out -= out.mean()
+        beta = betas[steps - 1] = np.linalg.norm(out)
+        if steps >= check or beta <= LANCZOS_RTOL * alphas[:steps].max() or steps == cap:
+            check = max(steps + 1, int(steps * LANCZOS_CHECK_GROWTH))
+            off = betas[: steps - 1]
+            ritz, vectors = np.linalg.eigh(np.diag(alphas[:steps]) + np.diag(off, 1) + np.diag(off, -1))
+            bounds = beta * np.abs(vectors[-1, [0, -1]])
+            if steps == m - 1 or bounds.max() <= LANCZOS_RTOL * ritz[-1]:
+                return float(ritz[0]), float(ritz[-1]), steps
+        vec = out / beta
+    return None
 
 
 def build_laplacian(graph: Graph, agent_dim: int = 1) -> NetworkOperator:
@@ -249,13 +383,10 @@ def build_laplacian(graph: Graph, agent_dim: int = 1) -> NetworkOperator:
 
     Connectivity is checked by traversal; a disconnected graph raises
     ``DisconnectedGraphError`` carrying the component count. Up to
-    ``DENSE_MAX_M`` nodes the spectrum comes from a dense ``eigvalsh``;
-    above it, from ARPACK on the sparse L: the largest eigenvalue
-    directly, lambda_2 by shift-invert just below zero, solving with one
-    sparse LU of the SPD L + 1e-3 I under a symmetric minimum-degree
-    ordering (SuperLU's MMD on A' + A in symmetric mode), whose fill is
-    what bounds a large graph's set-up time and memory. ARPACK starts
-    from a fixed vector, so equal graphs give equal numbers.
+    ``DENSE_MAX_M`` nodes B and B' are dense and the spectrum comes from
+    a dense ``eigvalsh``; above it they are one ``EdgeIncidence`` and the
+    spectrum comes from ``lanczos_extremes``, or from the same dense
+    ``eigvalsh`` of L when Lanczos reaches ``LANCZOS_MAX_STEPS``.
     """
     if agent_dim < 1:
         raise ValueError(f"agent_dim must be >= 1, got {agent_dim}")
@@ -263,49 +394,28 @@ def build_laplacian(graph: Graph, agent_dim: int = 1) -> NetworkOperator:
     if components != 1:
         raise DisconnectedGraphError(components)
     m, count = graph.m, graph.edge_count
-    ends = np.asarray(graph.edges, dtype=np.int32)
+    ends = np.asarray(graph.edges, dtype=np.intp)
     if m <= DENSE_MAX_M:
         # Column-major: numpy then hands BLAS each run's product as the
         # axpy-form gemv, measured 15-25% faster on these shapes.
         incidence = np.zeros((count, m), order="F")
         incidence[np.arange(count)[:, None], ends] = [1.0, -1.0]
         incidence_t = incidence.T.copy(order="F")
+        incidence.flags.writeable = incidence_t.flags.writeable = False
         eigvals = np.linalg.eigvalsh(incidence_t @ incidence)
         lam_min_plus, lam_max = eigvals[1], eigvals[-1]
     else:
-        import scipy.sparse.linalg  # only graphs above DENSE_MAX_M load scipy
-
-        incidence = scipy.sparse.csr_array(
-            (
-                np.tile([1.0, -1.0], count),
-                ends.reshape(-1),
-                np.arange(0, 2 * count + 1, 2, dtype=np.int32),
-            ),
-            shape=(count, m),
-        )
-        incidence_t = incidence.T.tocsr()
-        lap = incidence_t @ incidence
-        start = np.random.default_rng(0).standard_normal(m)
-        (lam_max,) = scipy.sparse.linalg.eigsh(
-            lap, k=1, which="LA", v0=start, return_eigenvectors=False
-        )
-        # SPD, so a symmetric ordering: COLAMD fills in about 3x more
-        factor = scipy.sparse.linalg.splu(
-            (lap + 1e-3 * scipy.sparse.eye_array(m)).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            options={"SymmetricMode": True},
-        )
-        shift_invert = scipy.sparse.linalg.LinearOperator(
-            lap.shape, matvec=factor.solve, dtype=float
-        )
-        bottom = scipy.sparse.linalg.eigsh(
-            lap, k=2, sigma=-1e-3, which="LM", v0=start,
-            OPinv=shift_invert, return_eigenvectors=False,
-        )
-        lam_min_plus = np.sort(bottom)[1]
+        incidence = EdgeIncidence(ends[:, 0].copy(), ends[:, 1].copy(), m)
+        incidence_t = incidence.T
+        extremes = lanczos_extremes(incidence)
+        if extremes is None:
+            eigvals = np.linalg.eigvalsh(incidence.laplacian())
+            lam_min_plus, lam_max = eigvals[1], eigvals[-1]
+        else:
+            lam_min_plus, lam_max, _ = extremes
     return NetworkOperator(
-        incidence=_read_only(incidence),
-        incidence_t=_read_only(incidence_t),
+        incidence=incidence,
+        incidence_t=incidence_t,
         lambda_min_plus=float(lam_min_plus),
         lambda_max=float(lam_max),
         agent_dim=agent_dim,
@@ -315,30 +425,25 @@ def build_laplacian(graph: Graph, agent_dim: int = 1) -> NetworkOperator:
 def apply_lifted(mat, vec: np.ndarray, block_dim: int) -> np.ndarray:
     """Apply mat (x) I_{block_dim} to a stacked vector without forming it.
 
-    mat is a (q, m) ndarray or CSR matrix; for vec of length
+    mat is a (q, m) ndarray or ``EdgeIncidence``; for vec of length
     m * block_dim the result block i is sum_j mat[i, j] * vec_j. Leading
     run axes on vec are kept, and each run gets the same product it would
     get alone: a dense mat makes one (q, m) by (m, block_dim) product per
-    run, and a CSR mat makes one product with every run's blocks as
-    columns, each column summed over the stored entries in row order.
+    run, and an edge list takes each run's edge differences, or sums
+    each node's incident edges in edge order, the same way in every run.
     """
     vec = np.asarray(vec)
     if block_dim < 1:
         raise ValueError(f"block_dim must be >= 1, got {block_dim}")
-    dense = isinstance(mat, np.ndarray)
-    q, m = mat.shape
+    m = mat.shape[1]
     if vec.ndim == 0 or vec.shape[-1] != m * block_dim:
         raise ValueError(
             f"stacked vector has shape {vec.shape}, expected (..., {m * block_dim})"
         )
     lead = vec.shape[:-1]
-    if dense:
+    if isinstance(mat, np.ndarray):
         return (mat @ vec.reshape(lead + (m, block_dim))).reshape(lead + (-1,))
-    columns = vec.reshape(-1, m, block_dim).transpose(1, 0, 2).reshape(m, -1)
-    out = (mat @ columns).reshape(q, -1, block_dim).transpose(1, 0, 2)
-    # Row-major like the dense result: BLAS sums a strided row in another
-    # order than a contiguous one, so later row reductions would differ.
-    return np.ascontiguousarray(out).reshape(lead + (-1,))
+    return mat.apply(vec.reshape(-1, m * block_dim), block_dim).reshape(lead + (-1,))
 
 
 def block_sum(vec: np.ndarray, block_dim: int) -> np.ndarray:

@@ -6,8 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lapgd.experiments import (
@@ -17,7 +16,7 @@ from lapgd.experiments import (
     start_for_seed,
     tangent_perturbation,
 )
-from lapgd.network import DENSE_MAX_M, build_laplacian, cycle_graph, path_graph, watts_strogatz
+from lapgd.network import DENSE_MAX_M, EdgeIncidence, build_laplacian, cycle_graph, path_graph, watts_strogatz
 from lapgd import optimizer
 from lapgd.objectives import (
     lipschitz_constants,
@@ -162,11 +161,34 @@ def serial_outcome(scenario, seed, config):
 @ENGINE_SETTINGS
 @given(
     family=st.sampled_from(FAMILIES),
-    # the last size is above the dense-storage constant: CSR operators
+    # the last size is above the dense-storage constant: edge-list operators
     m=st.sampled_from([2, 3, 4, 5, DENSE_MAX_M + 1]),
     param_seed=st.integers(0, 2**16),
     specs=st.lists(config_spec, min_size=1, max_size=5),
     seeds=st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True),
+)
+# The first record has gradient 0.41 <= eps and curvature -1.19: gamma 5
+# certifies it, gamma 0 would not, so a stop test that ignores the
+# config's gamma fails here at every --hypothesis-seed.
+@example(
+    family="smart_grid_1",
+    m=2,
+    param_seed=0,
+    specs=[
+        {
+            "algorithm": Algorithm.LGD,
+            "step_scale": 0.5,
+            "sigma": 0.0,
+            "record_every": 1,
+            "max_iters": 9,
+            "record_curvature": True,
+            "stop_eps": 5.0,
+            "stop_gamma": 5.0,
+            "early_exit": False,
+            "monitor_descent": False,
+        }
+    ],
+    seeds=[0],
 )
 def test_batch_traces_equal_independent_runs(family, m, param_seed, specs, seeds):
     problem, net = build_problem(family, m, np.random.default_rng(param_seed))
@@ -208,7 +230,7 @@ def test_sparse_batch_never_builds_the_dense_references():
     a, b = sample_smart_grid_params(m, np.random.default_rng(3))
     problem = smart_grid_problem(a, b)
     net = build_laplacian(watts_strogatz(m, 4, 0.2, seed=3))
-    assert scipy.sparse.issparse(net.incidence)
+    assert isinstance(net.incidence, EdgeIncidence)
     step = safe_step(problem, net)
     configs = {
         "lgd": RunConfig(Algorithm.LGD, 0.5 * step, 60, record_every=20, record_curvature=True),

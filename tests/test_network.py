@@ -9,13 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lapgd.network import (
     DENSE_MAX_M,
     DisconnectedGraphError,
+    EdgeIncidence,
     Graph,
     apply_lifted,
     block_sum,
@@ -24,6 +24,7 @@ from lapgd.network import (
     component_count,
     cycle_graph,
     is_connected,
+    lanczos_extremes,
     path_graph,
     read_edge_list,
     watts_strogatz,
@@ -188,7 +189,7 @@ def test_agent_dim_recorded():
 
 
 # ---------------------------------------------------------------------------
-# the incidence factor and the sparse storage path
+# the incidence factor and the edge-list storage path
 
 
 def test_incidence_frozen_and_factors_the_laplacian():
@@ -201,21 +202,30 @@ def test_incidence_frozen_and_factors_the_laplacian():
 
 
 def test_operators_stored_dense_up_to_the_constant_and_csr_above():
+    # above the constant B and B' are one edge list, read as its transpose
+    graph = watts_strogatz(DENSE_MAX_M + 1, 4, 0.2, seed=1)
     small = build_laplacian(watts_strogatz(DENSE_MAX_M, 4, 0.2, seed=1))
-    large = build_laplacian(watts_strogatz(DENSE_MAX_M + 1, 4, 0.2, seed=1))
+    large = build_laplacian(graph)
     assert isinstance(small.incidence, np.ndarray)
     assert isinstance(small.incidence_t, np.ndarray)
-    assert scipy.sparse.issparse(large.incidence)
-    assert scipy.sparse.issparse(large.incidence_t)
+    assert isinstance(large.incidence, EdgeIncidence)
+    assert isinstance(large.incidence_t, EdgeIncidence)
+    assert not large.incidence.transposed and large.incidence_t.transposed
+    assert large.incidence_t.heads is large.incidence.heads
     assert large.edge_count == 2 * (DENSE_MAX_M + 1)
+    assert large.incidence.shape == (large.edge_count, DENSE_MAX_M + 1)
+    assert large.incidence_t.shape == (DENSE_MAX_M + 1, large.edge_count)
+    assert [tuple(pair) for pair in zip(large.incidence.heads, large.incidence.tails)] == list(graph.edges)
     assert np.array_equal(large.incidence_t.toarray(), large.incidence.toarray().T)
     with pytest.raises(ValueError):
-        large.incidence.data[0] = 5.0
+        large.incidence.heads[0] = 5
+    with pytest.raises(ValueError):
+        large.incidence_t.tails[0] = 5
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_sparse_spectrum_matches_dense_eigensolve(seed):
-    # above the constant the extremes come from ARPACK on the sparse L
+    # above the constant the extremes come from Lanczos on the edge list
     graph = watts_strogatz(DENSE_MAX_M + 24, 4, 0.2, seed=seed)
     net = build_laplacian(graph)
     eigs = np.linalg.eigvalsh(net.laplacian)
@@ -238,18 +248,57 @@ SPARSE_FAMILIES = {
 @pytest.mark.parametrize("m", [DENSE_MAX_M + 1, 120, 400])
 @pytest.mark.parametrize("family", sorted(SPARSE_FAMILIES))
 def test_sparse_spectrum_matches_dense_eigensolve_across_families(family, m):
-    # the ordered shift-invert gives lambda_2 on near-trees (path, 6e-5
-    # at m = 400) and on the complete graph, where lambda_2 = lambda_max
-    # has multiplicity m - 1
+    # Lanczos gives lambda_2 on near-trees (path, 6e-5 at m = 400) and on
+    # the complete graph, where lambda_2 = lambda_max has multiplicity
+    # m - 1
     graph = SPARSE_FAMILIES[family](m)
     net = build_laplacian(graph)
-    assert scipy.sparse.issparse(net.incidence)
+    assert isinstance(net.incidence, EdgeIncidence)
     incidence = net.incidence.toarray()
     eigs = np.linalg.eigvalsh(incidence.T @ incidence)
     assert net.lambda_min_plus == pytest.approx(eigs[1], rel=1e-10)
     assert net.lambda_max == pytest.approx(eigs[-1], rel=1e-10)
     again = build_laplacian(graph)
     assert (again.lambda_min_plus, again.lambda_max) == (net.lambda_min_plus, net.lambda_max)
+
+
+def test_lanczos_gives_equal_graphs_equal_numbers():
+    graph = watts_strogatz(300, 4, 0.2, seed=5)
+    first = lanczos_extremes(build_laplacian(graph).incidence)
+    again = lanczos_extremes(build_laplacian(watts_strogatz(300, 4, 0.2, seed=5)).incidence)
+    assert first == again
+    # converged before the basis spans the ones-complement (299 steps)
+    assert first[2] < 299
+    eigs = np.linalg.eigvalsh(build_laplacian(graph).laplacian)
+    assert first[:2] == pytest.approx((eigs[1], eigs[-1]), rel=1e-10)
+
+
+def test_lanczos_stops_after_one_step_on_the_complete_graph():
+    # every nonzero eigenvalue of K_m is m, so the start vector, once
+    # orthogonal to the ones vector, is an eigenvector
+    lam_min_plus, lam_max, steps = lanczos_extremes(build_laplacian(complete_graph(60)).incidence)
+    assert steps == 1
+    assert lam_min_plus == pytest.approx(60.0, rel=1e-13)
+    assert lam_max == pytest.approx(60.0, rel=1e-13)
+
+
+def test_lanczos_falls_back_to_the_dense_eigensolve_at_its_cap():
+    # a path needs about m steps; capped at 20 the spectrum is the dense
+    # path's eigvalsh, bit for bit
+    import lapgd.network as network
+
+    graph = path_graph(120)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "LANCZOS_MAX_STEPS", 20)
+        capped = build_laplacian(graph)
+        assert lanczos_extremes(capped.incidence) is None
+        patch.setattr(network, "DENSE_MAX_M", graph.m)
+        dense = build_laplacian(graph)
+    assert isinstance(capped.incidence, EdgeIncidence)
+    assert isinstance(dense.incidence, np.ndarray)
+    assert (capped.lambda_min_plus, capped.lambda_max) == (dense.lambda_min_plus, dense.lambda_max)
+    uncapped = lanczos_extremes(capped.incidence)
+    assert uncapped[:2] == pytest.approx((dense.lambda_min_plus, dense.lambda_max), rel=1e-10)
 
 
 def test_sparse_references_match_the_dense_path():
@@ -260,7 +309,7 @@ def test_sparse_references_match_the_dense_path():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "DENSE_MAX_M", 3)
         sparse = build_laplacian(graph)
-    assert scipy.sparse.issparse(sparse.incidence)
+    assert isinstance(sparse.incidence, EdgeIncidence)
     assert np.array_equal(sparse.laplacian, dense.laplacian)
     assert np.array_equal(sparse.sqrt_laplacian, dense.sqrt_laplacian)
     assert sparse.lambda_max == pytest.approx(dense.lambda_max, rel=1e-12)
@@ -275,7 +324,7 @@ def test_sparse_references_match_the_dense_path():
     seed=st.integers(0, 1000),
 )
 def test_dense_operators_equal_the_csr_build_bit_for_bit(m, k, p, seed):
-    # a small graph's numpy-built B and B' equal the CSR build made
+    # a small graph's B and B' equal the edge list's dense arrays made
     # column-major, flags included, and its spectrum is eigvalsh of B' B
     import lapgd.network as network
 
@@ -285,36 +334,40 @@ def test_dense_operators_equal_the_csr_build_bit_for_bit(m, k, p, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "DENSE_MAX_M", 1)
         sparse = build_laplacian(graph)
-    for built, csr in ((dense.incidence, sparse.incidence), (dense.incidence_t, sparse.incidence_t)):
-        expected = csr.toarray("F")
+    for built, edges in ((dense.incidence, sparse.incidence), (dense.incidence_t, sparse.incidence_t)):
+        expected = np.asfortranarray(edges.toarray())
         expected.flags.writeable = False
         assert built.dtype == expected.dtype and built.shape == expected.shape
         assert built.flags == expected.flags
         assert np.array_equal(built, expected)
-    eigvals = np.linalg.eigvalsh(sparse.incidence_t.toarray("F") @ sparse.incidence.toarray("F"))
+    eigvals = np.linalg.eigvalsh(
+        np.asfortranarray(sparse.incidence_t.toarray()) @ np.asfortranarray(sparse.incidence.toarray())
+    )
     assert (dense.lambda_min_plus, dense.lambda_max) == (float(eigvals[1]), float(eigvals[-1]))
 
 
 def test_small_graph_paths_leave_scipy_unloaded(tmp_path):
-    # up to DENSE_MAX_M nodes the import, a batch with its export and a
-    # CLI run are numpy only; one more node loads scipy's sparse module
-    config = tmp_path / "grid.yaml"
-    config.write_text(
-        textwrap.dedent(
-            """\
-            problem: {family: smart_grid, m: 20, demand: 0.0, param_seed: 0}
-            network: {kind: watts_strogatz, m: 20, k: 4, p: 0.2, seed: 0}
-            run:
-              algorithm: nlgd
-              step_size: 0.001
-              max_iters: 200
-              noise_sigma: 0.05
-              record_every: 100
-              record_curvature: true
-            """
-        ),
-        encoding="utf-8",
-    )
+    # no graph size loads scipy: the import, a batch with its export, CLI
+    # runs on 20 and 2000 nodes, a build one node above DENSE_MAX_M and a
+    # CLI spectrum of 2000 nodes are numpy only
+    for m in (20, 2000):
+        (tmp_path / f"grid{m}.yaml").write_text(
+            textwrap.dedent(
+                f"""\
+                problem: {{family: smart_grid, m: {m}, demand: 0.0, param_seed: 0}}
+                network: {{kind: watts_strogatz, m: {m}, k: 4, p: 0.2, seed: 0}}
+                run:
+                  algorithm: nlgd
+                  step_size: 0.001
+                  max_iters: 200
+                  noise_sigma: 0.05
+                  record_every: 100
+                  record_curvature: true
+                """
+            ),
+            encoding="utf-8",
+        )
+    write_edge_list(watts_strogatz(2000, 4, 0.2, 0), tmp_path / "ws2000.txt")
     script = textwrap.dedent(
         """\
         import json, sys
@@ -325,20 +378,21 @@ def test_small_graph_paths_leave_scipy_unloaded(tmp_path):
         def loaded():
             return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
-        out, config = sys.argv[1:]
+        out = sys.argv[1]
         scenario = build_smart_grid_scenario(0)
         configs = {label: replace(cfg, max_iters=300) for label, cfg in scenario.configs.items()}
         export_traces(run_batch(scenario, range(2), configs), out + "/batch")
-        code = main(["run", config, "--out-dir", out + "/run"])
-        small = loaded()
+        codes = [main(["run", out + "/grid20.yaml", "--out-dir", out + "/run20"])]
         build_laplacian(watts_strogatz(49, 4, 0.2, 0))
-        print(json.dumps({"code": code, "small": small, "large": loaded()}))
+        codes.append(main(["run", out + "/grid2000.yaml", "--out-dir", out + "/run2000"]))
+        codes.append(main(["spectrum", out + "/ws2000.txt"]))
+        print(json.dumps({"codes": codes, "scipy": loaded()}))
         """
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path), str(config)],
+        [sys.executable, "-c", script, str(tmp_path)],
         env=env,
         capture_output=True,
         text=True,
@@ -346,9 +400,8 @@ def test_small_graph_paths_leave_scipy_unloaded(tmp_path):
     )
     assert done.returncode == 0, done.stderr[-2000:]
     reply = json.loads(done.stdout.strip().splitlines()[-1])
-    assert reply["code"] == 0
-    assert reply["small"] == []
-    assert "scipy.sparse" in reply["large"]
+    assert reply["codes"] == [0, 0, 0]
+    assert reply["scipy"] == []
 
 
 def test_dense_references_are_built_on_first_access_only():
@@ -408,17 +461,23 @@ def test_apply_lifted_matches_kron_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_apply_lifted_csr_matches_dense_and_keeps_each_run(seed):
+    # B and B' of an edge list against their dense arrays, on 7 of the
+    # 10 node pairs of 5 nodes; stacks of 24 runs and of one alternate,
+    # so the kept scatter indices are rebuilt between them
     rng = np.random.default_rng(seed)
-    mat = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.4)
-    csr = scipy.sparse.csr_array(mat)
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    ends = np.array(sorted(pairs[k] for k in rng.choice(10, size=7, replace=False)))
+    edges = EdgeIncidence(ends[:, 0].copy(), ends[:, 1].copy(), 5)
     n = 3
-    stack = rng.normal(size=(4, 6, 5 * n))
-    out = apply_lifted(csr, stack, n)
-    assert out.shape == (4, 6, 7 * n) and out.flags.c_contiguous
-    assert np.allclose(out, apply_lifted(mat, stack, n), atol=1e-13)
-    # each run gets, bit for bit, the product it gets alone
-    alone = np.array([[apply_lifted(csr, v, n) for v in rows] for rows in stack])
-    assert np.array_equal(out, alone)
+    for op in (edges, edges.T):
+        q, m = op.shape
+        stack = rng.normal(size=(4, 6, m * n))
+        out = apply_lifted(op, stack, n)
+        assert out.shape == (4, 6, q * n) and out.flags.c_contiguous
+        assert np.allclose(out, apply_lifted(op.toarray(), stack, n), atol=1e-13)
+        # each run gets, bit for bit, the product it gets alone
+        alone = np.array([[apply_lifted(op, v, n) for v in rows] for rows in stack])
+        assert np.array_equal(out, alone)
 
 
 def test_apply_lifted_rejects_bad_length():

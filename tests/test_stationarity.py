@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
@@ -439,12 +438,13 @@ def test_aux_hessian_matches_fd_oracle(seed):
 
 @pytest.mark.parametrize("m, n", [(6, 2), (DENSE_MAX_M + 2, 1)])
 def test_aux_hessian_equals_kron_sandwich(m, n):
-    # more edges than nodes, and a CSR incidence above DENSE_MAX_M
+    # more edges than nodes, and an edge-list incidence above DENSE_MAX_M
     rng = np.random.default_rng(m)
     problem = smart_grid_problem(*sample_smart_grid_params(m, rng), agent_dim=n)
     net = build_laplacian(watts_strogatz(m, 4, 0.3, m), agent_dim=n)
     theta = rng.normal(scale=0.5, size=m * n)
-    lift = np.kron(scipy.sparse.csr_array(net.incidence).toarray(), np.eye(n))
+    incidence = net.incidence if m <= DENSE_MAX_M else net.incidence.toarray()
+    lift = np.kron(incidence, np.eye(n))
     reference = lift @ block_diag(*hessian_blocks(problem, theta)) @ lift.T
     sandwich = aux_hessian(theta, problem, net)
     assert sandwich.shape == (net.edge_count * n, net.edge_count * n)

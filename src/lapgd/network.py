@@ -7,11 +7,11 @@ only: descent directions are premultiplied by L as B' (B g), noisy kicks
 are B' eta with one Gaussian block per edge, and the projected gradient
 is ||B g||. The factor acts block-wise on stacked per-agent vectors
 through ``apply_lifted``, so the Kronecker product with the identity is
-never materialized. It is stored dense on small graphs and as its edge
-list on large ones, where nothing of size m x m is formed unless a
-spectrum falls back to the dense solver; the dense L and its PSD square
-root remain available as references built on demand. Every graph size
-is numpy only: scipy is not loaded by anything in this module.
+never materialized. B is one edge list on every graph, multiplied as a
+dense copy on small graphs; on large ones nothing of size m x m is formed
+unless a spectrum falls back to the dense solver. The dense L and its PSD
+square root are references built on demand. Every graph size is numpy
+only: scipy is not loaded by anything in this module.
 
 Stacking convention: a stacked vector has length m * n with agent i's
 block at ``v[i * n : (i + 1) * n]``, i.e. ``v.reshape(m, n)`` puts one
@@ -25,9 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-# Largest node count whose operators are stored dense; above it they are
-# edge lists. Set from the measured crossover of the stacked apply
-# (CHANGES.md).
+# Largest node count whose incidence operators multiply by a dense copy
+# and whose spectrum is a dense eigvalsh; above it they apply as edge
+# lists and Lanczos gives the spectrum. Stacked runs of B then B' cost
+# about the same both ways at 48 nodes (table in CHANGES.md).
 DENSE_MAX_M = 48
 
 # Largest Lanczos basis for the spectrum of a graph above DENSE_MAX_M;
@@ -200,9 +201,11 @@ class EdgeIncidence:
     its transpose B' when ``transposed``.
 
     Edge e joins ``heads[e]`` (+1) to ``tails[e]`` (-1), heads < tails.
-    On stacked runs B is the gather ``g[heads] - g[tails]`` and B' the
+    Up to ``DENSE_MAX_M`` nodes ``apply`` multiplies each run by
+    ``dense``, the matrix as a read-only column-major copy; above it
+    ``dense`` is None, B is the gather ``g[heads] - g[tails]`` and B' the
     per-node sums of the incident edges' values, heads' and tails' each
-    accumulated in edge order by ``np.bincount``; ``toarray`` gives the
+    accumulated in edge order by ``np.bincount``. ``toarray`` gives the
     dense matrix for references. ``heads`` and ``tails`` are read-only.
     """
 
@@ -210,18 +213,26 @@ class EdgeIncidence:
     tails: np.ndarray
     m: int
     transposed: bool = False
+    dense: np.ndarray | None = field(init=False, default=None, repr=False)
     _ends: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.heads.flags.writeable = False
         self.tails.flags.writeable = False
+        if self.m <= DENSE_MAX_M:
+            # Column-major: numpy then hands BLAS each run's product as the
+            # axpy-form gemv, measured 15-25% faster on these shapes; the
+            # order picks the kernel, and with it the bits of each product.
+            dense = np.asfortranarray(self.toarray())
+            dense.flags.writeable = False
+            object.__setattr__(self, "dense", dense)
 
     @property
     def shape(self) -> tuple:
         count = len(self.heads)
         return (self.m, count) if self.transposed else (count, self.m)
 
-    @property
+    @cached_property
     def T(self) -> "EdgeIncidence":
         return replace(self, transposed=not self.transposed)
 
@@ -242,6 +253,8 @@ class EdgeIncidence:
         """The lifted product with each row of an (R, columns * n)
         stack, n = ``block_dim``, as an (R, rows * n) array."""
         runs = len(rows)
+        if self.dense is not None:
+            return (self.dense @ rows.reshape(runs, -1, block_dim)).reshape(runs, -1)
         heads, tails = self._flat_ends(runs, block_dim)
         flat = rows.reshape(-1)
         if self.transposed:
@@ -271,16 +284,15 @@ class EdgeIncidence:
         return flat_ends
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkOperator:
     """The signed incidence factor of a connected graph with its spectral
     data, ready for lifted block-wise use on stacked vectors of per-agent
-    dimension ``agent_dim``.
+    dimension ``agent_dim``. Operators compare and hash by identity.
 
-    ``incidence`` is B, one row per edge (i, j), i < j, with +1 at i and
-    -1 at j, so L = B' B; ``incidence_t`` is B'. Both are dense arrays,
-    each stored on its own, for m <= ``DENSE_MAX_M``, and above it one
-    ``EdgeIncidence`` edge list and its transpose.
+    ``incidence`` is B, an ``EdgeIncidence`` with one row per edge (i, j),
+    i < j, +1 at i and -1 at j, so L = B' B; ``incidence_t`` is its
+    transpose B', ``incidence.T``, built on first access and kept.
     ``lambda_min_plus`` is the second-smallest eigenvalue of L (the
     algebraic connectivity) and ``lambda_max`` the largest, which equals
     ||B||^2.
@@ -291,8 +303,7 @@ class NetworkOperator:
     them. Arrays are read-only.
     """
 
-    incidence: object
-    incidence_t: object
+    incidence: EdgeIncidence
     lambda_min_plus: float
     lambda_max: float
     agent_dim: int
@@ -305,12 +316,13 @@ class NetworkOperator:
     def edge_count(self) -> int:
         return self.incidence.shape[0]
 
+    @property
+    def incidence_t(self) -> EdgeIncidence:
+        return self.incidence.T
+
     @cached_property
     def laplacian(self) -> np.ndarray:
-        if isinstance(self.incidence, np.ndarray):
-            lap = self.incidence_t @ self.incidence
-        else:
-            lap = self.incidence.laplacian()
+        lap = self.incidence.laplacian()
         lap.flags.writeable = False
         return lap
 
@@ -382,40 +394,26 @@ def build_laplacian(graph: Graph, agent_dim: int = 1) -> NetworkOperator:
     eigenvalues of L = B' B.
 
     Connectivity is checked by traversal; a disconnected graph raises
-    ``DisconnectedGraphError`` carrying the component count. Up to
-    ``DENSE_MAX_M`` nodes B and B' are dense and the spectrum comes from
-    a dense ``eigvalsh``; above it they are one ``EdgeIncidence`` and the
-    spectrum comes from ``lanczos_extremes``, or from the same dense
-    ``eigvalsh`` of L when Lanczos reaches ``LANCZOS_MAX_STEPS``.
+    ``DisconnectedGraphError`` carrying the component count. B is one
+    ``EdgeIncidence`` for every graph. Above ``DENSE_MAX_M`` nodes the
+    spectrum comes from ``lanczos_extremes``; up to it, or when Lanczos
+    reaches ``LANCZOS_MAX_STEPS``, from a dense ``eigvalsh`` of L.
     """
     if agent_dim < 1:
         raise ValueError(f"agent_dim must be >= 1, got {agent_dim}")
     components = component_count(graph)
     if components != 1:
         raise DisconnectedGraphError(components)
-    m, count = graph.m, graph.edge_count
     ends = np.asarray(graph.edges, dtype=np.intp)
-    if m <= DENSE_MAX_M:
-        # Column-major: numpy then hands BLAS each run's product as the
-        # axpy-form gemv, measured 15-25% faster on these shapes.
-        incidence = np.zeros((count, m), order="F")
-        incidence[np.arange(count)[:, None], ends] = [1.0, -1.0]
-        incidence_t = incidence.T.copy(order="F")
-        incidence.flags.writeable = incidence_t.flags.writeable = False
-        eigvals = np.linalg.eigvalsh(incidence_t @ incidence)
+    incidence = EdgeIncidence(ends[:, 0].copy(), ends[:, 1].copy(), graph.m)
+    extremes = lanczos_extremes(incidence) if graph.m > DENSE_MAX_M else None
+    if extremes is None:
+        eigvals = np.linalg.eigvalsh(incidence.laplacian())
         lam_min_plus, lam_max = eigvals[1], eigvals[-1]
     else:
-        incidence = EdgeIncidence(ends[:, 0].copy(), ends[:, 1].copy(), m)
-        incidence_t = incidence.T
-        extremes = lanczos_extremes(incidence)
-        if extremes is None:
-            eigvals = np.linalg.eigvalsh(incidence.laplacian())
-            lam_min_plus, lam_max = eigvals[1], eigvals[-1]
-        else:
-            lam_min_plus, lam_max, _ = extremes
+        lam_min_plus, lam_max, _ = extremes
     return NetworkOperator(
         incidence=incidence,
-        incidence_t=incidence_t,
         lambda_min_plus=float(lam_min_plus),
         lambda_max=float(lam_max),
         agent_dim=agent_dim,
@@ -428,9 +426,9 @@ def apply_lifted(mat, vec: np.ndarray, block_dim: int) -> np.ndarray:
     mat is a (q, m) ndarray or ``EdgeIncidence``; for vec of length
     m * block_dim the result block i is sum_j mat[i, j] * vec_j. Leading
     run axes on vec are kept, and each run gets the same product it would
-    get alone: a dense mat makes one (q, m) by (m, block_dim) product per
-    run, and an edge list takes each run's edge differences, or sums
-    each node's incident edges in edge order, the same way in every run.
+    get alone: an ndarray makes one (q, m) by (m, block_dim) product per
+    run, and an incidence operator applies itself to the runs stacked as
+    rows (``EdgeIncidence.apply``), the same way in every run.
     """
     vec = np.asarray(vec)
     if block_dim < 1:

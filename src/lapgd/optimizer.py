@@ -219,10 +219,10 @@ def _advance(
     """
     n = problem.n
     grad = problem.grad(theta.reshape(len(theta), problem.m, n), *problem.params)
-    edge_grad = apply_lifted(net.incidence, grad.reshape(theta.shape), n)
+    edge_grad = net.incidence.apply(grad.reshape(theta.shape), n)
     if kick is not None:
         edge_grad[noisy] += kick
-    direction = apply_lifted(net.incidence_t, edge_grad, n)
+    direction = net.incidence_t.apply(edge_grad, n)
     direction *= step
     return np.subtract(theta, direction, out=direction)
 

@@ -334,8 +334,8 @@ def classify(
 def aux_hessian(theta: np.ndarray, problem: ProblemInstance, net: NetworkOperator) -> np.ndarray:
     """Dense (En, En) Hessian (B (x) I) H (B' (x) I) of the auxiliary
     function x -> F(anchor + B' x) at theta = anchor + B' x, H the
-    block-diagonal Hessian of F; one lifted pass each way, so B may be
-    dense or an edge list."""
+    block-diagonal Hessian of F; one lifted pass of the incidence
+    operator each way, so no Kronecker product is formed."""
     n = problem.n
     lifted = apply_lifted(net.incidence_t, np.eye(net.edge_count * n), n)
     blocks = hessian_blocks(problem, theta)

@@ -16,7 +16,7 @@ from lapgd.experiments import (
     start_for_seed,
     tangent_perturbation,
 )
-from lapgd.network import DENSE_MAX_M, EdgeIncidence, build_laplacian, cycle_graph, path_graph, watts_strogatz
+from lapgd.network import DENSE_MAX_M, build_laplacian, cycle_graph, path_graph, watts_strogatz
 from lapgd import optimizer
 from lapgd.objectives import (
     lipschitz_constants,
@@ -230,7 +230,7 @@ def test_sparse_batch_never_builds_the_dense_references():
     a, b = sample_smart_grid_params(m, np.random.default_rng(3))
     problem = smart_grid_problem(a, b)
     net = build_laplacian(watts_strogatz(m, 4, 0.2, seed=3))
-    assert isinstance(net.incidence, EdgeIncidence)
+    assert net.incidence.dense is None
     step = safe_step(problem, net)
     configs = {
         "lgd": RunConfig(Algorithm.LGD, 0.5 * step, 60, record_every=20, record_curvature=True),

@@ -195,23 +195,29 @@ def test_agent_dim_recorded():
 def test_incidence_frozen_and_factors_the_laplacian():
     net = build_laplacian(path_graph(3))
     # one row per edge (i, j), i < j: +1 at i, -1 at j
-    assert np.array_equal(net.incidence, [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-    assert np.array_equal(net.incidence_t, net.incidence.T)
+    incidence = net.incidence.toarray()
+    assert np.array_equal(incidence, [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+    assert np.array_equal(net.incidence_t.toarray(), incidence.T)
     assert net.edge_count == 2
-    assert np.array_equal(net.incidence.T @ net.incidence, net.laplacian)
+    assert np.array_equal(incidence.T @ incidence, net.laplacian)
 
 
-def test_operators_stored_dense_up_to_the_constant_and_csr_above():
-    # above the constant B and B' are one edge list, read as its transpose
+def test_operators_keep_a_dense_copy_up_to_the_constant():
+    # every graph's B is one edge list, read as its transpose for B'; up
+    # to the constant both orientations also keep a read-only
+    # column-major copy of themselves to multiply by
     graph = watts_strogatz(DENSE_MAX_M + 1, 4, 0.2, seed=1)
     small = build_laplacian(watts_strogatz(DENSE_MAX_M, 4, 0.2, seed=1))
     large = build_laplacian(graph)
-    assert isinstance(small.incidence, np.ndarray)
-    assert isinstance(small.incidence_t, np.ndarray)
-    assert isinstance(large.incidence, EdgeIncidence)
-    assert isinstance(large.incidence_t, EdgeIncidence)
-    assert not large.incidence.transposed and large.incidence_t.transposed
-    assert large.incidence_t.heads is large.incidence.heads
+    for net in (small, large):
+        assert isinstance(net.incidence, EdgeIncidence)
+        assert net.incidence_t is net.incidence.T
+        assert not net.incidence.transposed and net.incidence_t.transposed
+        assert net.incidence_t.heads is net.incidence.heads
+    for op in (small.incidence, small.incidence_t):
+        assert op.dense.flags.f_contiguous and not op.dense.flags.writeable
+        assert np.array_equal(op.dense, op.toarray())
+    assert large.incidence.dense is None and large.incidence_t.dense is None
     assert large.edge_count == 2 * (DENSE_MAX_M + 1)
     assert large.incidence.shape == (large.edge_count, DENSE_MAX_M + 1)
     assert large.incidence_t.shape == (DENSE_MAX_M + 1, large.edge_count)
@@ -221,6 +227,11 @@ def test_operators_stored_dense_up_to_the_constant_and_csr_above():
         large.incidence.heads[0] = 5
     with pytest.raises(ValueError):
         large.incidence_t.tails[0] = 5
+    # operators compare and hash by identity at every size
+    for make in (lambda: path_graph(3), lambda: watts_strogatz(60, 4, 0.2, seed=0)):
+        net, twin = build_laplacian(make()), build_laplacian(make())
+        assert net == net and net != twin
+        assert hash(net) == hash(net) and len({net, twin}) == 2
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -253,7 +264,7 @@ def test_sparse_spectrum_matches_dense_eigensolve_across_families(family, m):
     # m - 1
     graph = SPARSE_FAMILIES[family](m)
     net = build_laplacian(graph)
-    assert isinstance(net.incidence, EdgeIncidence)
+    assert net.incidence.dense is None
     incidence = net.incidence.toarray()
     eigs = np.linalg.eigvalsh(incidence.T @ incidence)
     assert net.lambda_min_plus == pytest.approx(eigs[1], rel=1e-10)
@@ -294,8 +305,6 @@ def test_lanczos_falls_back_to_the_dense_eigensolve_at_its_cap():
         assert lanczos_extremes(capped.incidence) is None
         patch.setattr(network, "DENSE_MAX_M", graph.m)
         dense = build_laplacian(graph)
-    assert isinstance(capped.incidence, EdgeIncidence)
-    assert isinstance(dense.incidence, np.ndarray)
     assert (capped.lambda_min_plus, capped.lambda_max) == (dense.lambda_min_plus, dense.lambda_max)
     uncapped = lanczos_extremes(capped.incidence)
     assert uncapped[:2] == pytest.approx((dense.lambda_min_plus, dense.lambda_max), rel=1e-10)
@@ -309,7 +318,7 @@ def test_sparse_references_match_the_dense_path():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "DENSE_MAX_M", 3)
         sparse = build_laplacian(graph)
-    assert isinstance(sparse.incidence, EdgeIncidence)
+    assert sparse.incidence.dense is None
     assert np.array_equal(sparse.laplacian, dense.laplacian)
     assert np.array_equal(sparse.sqrt_laplacian, dense.sqrt_laplacian)
     assert sparse.lambda_max == pytest.approx(dense.lambda_max, rel=1e-12)
@@ -322,28 +331,40 @@ def test_sparse_references_match_the_dense_path():
     k=st.sampled_from([2, 4, 6]),
     p=st.floats(0.0, 1.0),
     seed=st.integers(0, 1000),
+    runs=st.sampled_from([1, 3, 40]),
+    n=st.integers(1, 3),
 )
-def test_dense_operators_equal_the_csr_build_bit_for_bit(m, k, p, seed):
-    # a small graph's B and B' equal the edge list's dense arrays made
-    # column-major, flags included, and its spectrum is eigvalsh of B' B
+def test_dense_and_edge_list_applies_agree(m, k, p, seed, runs, n):
+    # one small graph applied through its dense copy and, the constant
+    # patched to 1, as a bare edge list. B takes the same +-1 differences
+    # both ways, bit for bit; B' sums each node's edges in another order
+    # (gemv against bincount), so it agrees to rounding
     import lapgd.network as network
 
     assume(k < m)
     graph = watts_strogatz(m, k, p, seed)
-    dense = build_laplacian(graph)
+    dense = build_laplacian(graph, n)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "DENSE_MAX_M", 1)
-        sparse = build_laplacian(graph)
-    for built, edges in ((dense.incidence, sparse.incidence), (dense.incidence_t, sparse.incidence_t)):
-        expected = np.asfortranarray(edges.toarray())
-        expected.flags.writeable = False
-        assert built.dtype == expected.dtype and built.shape == expected.shape
-        assert built.flags == expected.flags
-        assert np.array_equal(built, expected)
-    eigvals = np.linalg.eigvalsh(
-        np.asfortranarray(sparse.incidence_t.toarray()) @ np.asfortranarray(sparse.incidence.toarray())
-    )
+        edges = build_laplacian(graph, n)
+        edges_t = edges.incidence_t
+    assert dense.incidence_t.dense is not None and edges_t.dense is None
+    rng = np.random.default_rng(seed)
+    nodes = rng.normal(size=(runs, m * n))
+    assert np.array_equal(dense.incidence.apply(nodes, n), edges.incidence.apply(nodes, n))
+    values = rng.normal(size=(runs, dense.edge_count * n))
+    assert np.allclose(dense.incidence_t.apply(values, n), edges_t.apply(values, n), rtol=0, atol=1e-13)
+    for ours, theirs in ((dense.incidence, edges.incidence), (dense.incidence_t, edges_t)):
+        assert np.array_equal(ours.toarray(), theirs.toarray())
+    assert np.array_equal(dense.laplacian, edges.laplacian)
+    # the dense spectrum keeps the bits of eigvalsh on the column-major
+    # product B' B, and Lanczos on the edge list agrees with it
+    incidence = np.asfortranarray(edges.incidence.toarray())
+    eigvals = np.linalg.eigvalsh(np.asfortranarray(incidence.T) @ incidence)
     assert (dense.lambda_min_plus, dense.lambda_max) == (float(eigvals[1]), float(eigvals[-1]))
+    assert (edges.lambda_min_plus, edges.lambda_max) == pytest.approx(
+        (dense.lambda_min_plus, dense.lambda_max), rel=1e-10
+    )
 
 
 def test_small_graph_paths_leave_scipy_unloaded(tmp_path):
@@ -462,14 +483,23 @@ def test_apply_lifted_matches_kron_oracle(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_apply_lifted_csr_matches_dense_and_keeps_each_run(seed):
     # B and B' of an edge list against their dense arrays, on 7 of the
-    # 10 node pairs of 5 nodes; stacks of 24 runs and of one alternate,
-    # so the kept scatter indices are rebuilt between them
+    # 10 node pairs of 5 nodes, applied as a bare edge list (the constant
+    # patched to 1) and through the dense copy; stacks of 24 runs and of
+    # one alternate, so the kept scatter indices are rebuilt between them
+    import lapgd.network as network
+
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     ends = np.array(sorted(pairs[k] for k in rng.choice(10, size=7, replace=False)))
-    edges = EdgeIncidence(ends[:, 0].copy(), ends[:, 1].copy(), 5)
+    ops = []
+    for limit in (1, DENSE_MAX_M):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "DENSE_MAX_M", limit)
+            edges = EdgeIncidence(ends[:, 0].copy(), ends[:, 1].copy(), 5)
+            ops += [edges, edges.T]
+    assert [op.dense is None for op in ops] == [True, True, False, False]
     n = 3
-    for op in (edges, edges.T):
+    for op in ops:
         q, m = op.shape
         stack = rng.normal(size=(4, 6, m * n))
         out = apply_lifted(op, stack, n)

@@ -397,7 +397,7 @@ def test_aux_hessian_identity_blocks():
     problem = quadratic_problem([1.0, 1.0, 1.0], demand=1.0)
     net = build_laplacian(cycle_graph(3))
     sandwich = aux_hessian(np.zeros(3), problem, net)
-    assert np.allclose(sandwich, net.incidence @ net.incidence_t, atol=1e-10)
+    assert np.allclose(sandwich, net.incidence.toarray() @ net.incidence_t.toarray(), atol=1e-10)
 
 
 def test_aux_hessian_saddle_frozen():
@@ -438,13 +438,13 @@ def test_aux_hessian_matches_fd_oracle(seed):
 
 @pytest.mark.parametrize("m, n", [(6, 2), (DENSE_MAX_M + 2, 1)])
 def test_aux_hessian_equals_kron_sandwich(m, n):
-    # more edges than nodes, and an edge-list incidence above DENSE_MAX_M
+    # more edges than nodes, and an incidence applied as a bare edge list
+    # above DENSE_MAX_M
     rng = np.random.default_rng(m)
     problem = smart_grid_problem(*sample_smart_grid_params(m, rng), agent_dim=n)
     net = build_laplacian(watts_strogatz(m, 4, 0.3, m), agent_dim=n)
     theta = rng.normal(scale=0.5, size=m * n)
-    incidence = net.incidence if m <= DENSE_MAX_M else net.incidence.toarray()
-    lift = np.kron(incidence, np.eye(n))
+    lift = np.kron(net.incidence.toarray(), np.eye(n))
     reference = lift @ block_diag(*hessian_blocks(problem, theta)) @ lift.T
     sandwich = aux_hessian(theta, problem, net)
     assert sandwich.shape == (net.edge_count * n, net.edge_count * n)

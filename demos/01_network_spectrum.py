@@ -9,7 +9,7 @@ square root, the dense references, annihilate the all-ones direction.
 
 import numpy as np
 
-from lapgd import (
+from lapgd.network import (
     apply_lifted,
     block_sum,
     build_laplacian,

@@ -11,7 +11,7 @@ honest.
 
 import numpy as np
 
-from lapgd import (
+from lapgd.objectives import (
     fd_check,
     hessian_blocks,
     portfolio_problem,

@@ -11,17 +11,9 @@ machine precision is what makes lifted-space certificates transferable.
 
 import numpy as np
 
-from lapgd import (
-    aux_gd_step,
-    aux_ngd_step,
-    build_laplacian,
-    initial_state,
-    lgd_step,
-    nlgd_step,
-    sample_smart_grid_params,
-    smart_grid_problem,
-    watts_strogatz,
-)
+from lapgd.network import build_laplacian, watts_strogatz
+from lapgd.objectives import sample_smart_grid_params, smart_grid_problem
+from lapgd.optimizer import aux_gd_step, aux_ngd_step, initial_state, lgd_step, nlgd_step
 
 
 def main():

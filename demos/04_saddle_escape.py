@@ -14,15 +14,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from lapgd import (
-    RunConfig,
-    build_smart_grid_scenario,
-    run,
-    run_comparison,
-    stacked_value,
-    summary_rows,
-    tangent_min_curvature,
-)
+from lapgd.experiments import build_smart_grid_scenario, run_comparison, summary_rows
+from lapgd.objectives import stacked_value
+from lapgd.optimizer import RunConfig, run
+from lapgd.stationarity import tangent_min_curvature
 
 
 def main():

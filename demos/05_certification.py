@@ -12,15 +12,14 @@ spectral gap.
 
 import numpy as np
 
-from lapgd import (
+from lapgd.experiments import build_smart_grid_scenario
+from lapgd.network import build_laplacian, cycle_graph
+from lapgd.objectives import quadratic_problem
+from lapgd.stationarity import (
     aux_hessian,
-    build_laplacian,
-    build_smart_grid_scenario,
     classify,
-    cycle_graph,
     format_report,
     projected_grad_norm,
-    quadratic_problem,
     transfer_certificate,
 )
 

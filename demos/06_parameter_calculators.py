@@ -8,14 +8,12 @@ expectation. The demo computes all three for the twenty-agent scenario
 and then confirms the budget empirically with an actual run.
 """
 
-from lapgd import (
+from lapgd.experiments import build_smart_grid_scenario
+from lapgd.objectives import estimate_global_min_sum, lipschitz_constants, stacked_value
+from lapgd.optimizer import (
     RunConfig,
-    build_smart_grid_scenario,
-    estimate_global_min_sum,
     iteration_budget,
-    lipschitz_constants,
     run,
-    stacked_value,
     theoretical_step_bound,
     variance_for_tolerance,
 )

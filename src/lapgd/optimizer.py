@@ -30,6 +30,7 @@ one-run calls of the same update kernel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -128,8 +129,17 @@ class RunConfig:
             raise ValueError(
                 f"step_size must be positive and finite, got {self.step_size}"
             )
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        # a fractional budget or stride would stall the run loop; integral
+        # floats and numpy integers pass, as plain ints
+        for name, least in (("max_iters", 1), ("record_every", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
             raise ValueError(
                 f"noise_variance must be >= 0 and finite, got {self.noise_variance}"
@@ -138,10 +148,6 @@ class RunConfig:
             raise ValueError(f"noise_variance > 0 is invalid for {self.algorithm.value}")
         if self.noise_variance > 0 and self.monitor_descent:
             raise ValueError("noise_variance > 0 is invalid with monitor_descent")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if (self.stop_eps is None) != (self.stop_gamma is None):
             raise ValueError("stop_eps and stop_gamma must be set together")
         for name in ("stop_eps", "stop_gamma"):
@@ -329,8 +335,8 @@ def theoretical_step_bound(
 def variance_for_tolerance(grad_tol: float, m: int, n: int) -> float:
     """Per-coordinate noise variance grad_tol^2 / (12 m n) matched to a
     projected-gradient tolerance."""
-    if grad_tol <= 0:
-        raise ValueError(f"grad_tol must be positive, got {grad_tol}")
+    if not (math.isfinite(grad_tol) and grad_tol > 0):
+        raise ValueError(f"grad_tol must be positive and finite, got {grad_tol}")
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     return grad_tol**2 / (12.0 * m * n)
@@ -340,6 +346,11 @@ def curvature_tolerance(grad_tol: float, lambda_max: float, lip_hess: float) -> 
     """Tangent-curvature tolerance sqrt(grad_tol * lambda_max^1.5 * L_hess)
     matched to a projected-gradient tolerance through the Hessian
     smoothness bound and ||B||^2 = lambda_max."""
+    for name, value in (
+        ("grad_tol", grad_tol), ("lambda_max", lambda_max), ("lip_hess", lip_hess)
+    ):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be >= 0 and finite, got {value}")
     return float(np.sqrt(grad_tol * lambda_max**1.5 * lip_hess))
 
 
@@ -353,17 +364,22 @@ def iteration_budget(
     """Iterations sufficient to shrink the expected auxiliary gradient
     below grad_tol: ceil(gap / (L_aux * tol^2 * alpha^2)) with gap the
     start-to-lower-bound objective gap. Clamped to at least 1; a negative
-    gap (lower bound above the start value) raises.
+    gap (lower bound above the start value) raises, as does any argument
+    that is not finite.
     """
+    for name, value in (("psi_start", psi_start), ("min_sum", min_sum)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    for name, value in (
+        ("lip_grad_aux", lip_grad_aux), ("grad_tol", grad_tol), ("step_size", step_size)
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     gap = psi_start - min_sum
     if gap < 0:
         raise ValueError(
             f"start value {psi_start:g} is below the lower bound {min_sum:g}"
         )
-    if grad_tol <= 0 or step_size <= 0:
-        raise ValueError("grad_tol and step_size must be positive")
-    if lip_grad_aux <= 0:
-        raise ValueError(f"lip_grad_aux must be positive, got {lip_grad_aux}")
     denom = lip_grad_aux * grad_tol**2 * step_size**2
     return max(math.ceil(gap / denom), 1)
 

@@ -601,6 +601,16 @@ def test_cli_params(tmp_path, capsys):
     assert int(values["iteration_budget"]) >= 1
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+def test_cli_params_rejects_non_finite_grad_tol(tmp_path, capsys, value):
+    # inf used to print noise_variance inf and curvature tolerances nan
+    cfg = write_config(tmp_path, SMART_GRID_YAML)
+    assert main(["params", str(cfg), "--grad-tol", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grad_tol must be positive and finite" in captured.err
+
+
 PORTFOLIO_PARAMS_YAML = textwrap.dedent(
     """\
     problem:

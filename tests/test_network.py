@@ -367,6 +367,18 @@ def test_dense_and_edge_list_applies_agree(m, k, p, seed, runs, n):
     )
 
 
+def run_fresh(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    src/, and return its last line of output read as JSON."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def test_small_graph_paths_leave_scipy_unloaded(tmp_path):
     # no graph size loads scipy: the import, a batch with its export, CLI
     # runs on 20 and 2000 nodes, a build one node above DENSE_MAX_M and a
@@ -393,7 +405,8 @@ def test_small_graph_paths_leave_scipy_unloaded(tmp_path):
         """\
         import json, sys
         from dataclasses import replace
-        from lapgd import build_laplacian, build_smart_grid_scenario, export_traces, run_batch, watts_strogatz
+        from lapgd.experiments import build_smart_grid_scenario, export_traces, run_batch
+        from lapgd.network import build_laplacian, watts_strogatz
         from lapgd.cli import main
 
         def loaded():
@@ -410,19 +423,27 @@ def test_small_graph_paths_leave_scipy_unloaded(tmp_path):
         print(json.dumps({"codes": codes, "scipy": loaded()}))
         """
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
-    reply = json.loads(done.stdout.strip().splitlines()[-1])
+    reply = run_fresh(script, str(tmp_path))
     assert reply["codes"] == [0, 0, 0]
     assert reply["scipy"] == []
+
+
+def test_import_loads_the_six_modules_and_binds_nothing_else():
+    # each public name has one home, its module; the command line stays
+    # unloaded until asked for
+    script = textwrap.dedent(
+        """\
+        import json, sys
+        import lapgd
+        public = sorted(name for name in vars(lapgd) if not name.startswith("_"))
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "lapgd")
+        print(json.dumps({"public": public, "loaded": loaded}))
+        """
+    )
+    reply = run_fresh(script)
+    modules = ["config", "experiments", "network", "objectives", "optimizer", "stationarity"]
+    assert reply["public"] == modules
+    assert reply["loaded"] == ["lapgd"] + [f"lapgd.{name}" for name in modules]
 
 
 def test_dense_references_are_built_on_first_access_only():

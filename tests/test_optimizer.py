@@ -28,6 +28,7 @@ from lapgd.optimizer import (
     Trace,
     aux_gd_step,
     aux_ngd_step,
+    curvature_tolerance,
     initial_state,
     iteration_budget,
     lgd_step,
@@ -392,6 +393,19 @@ def test_descent_monitor_catches_lying_smoothness_bound():
         assert err.value.trace.iterations_run == 1
 
 
+def test_descent_monitor_catches_a_small_violation():
+    # lip_grad understated by delta = 1e-4: the objective drops by 0.09,
+    # short of its bound 0.090001 by 4 alpha^2 x^2 delta = 1e-6, which is
+    # far above the check's 1e-9 rounding allowance
+    problem = replace(quadratic_problem([1.0, 1.0], 0.0), lip_grad=1.0 - 1e-4)
+    net = build_laplacian(path_graph(2))
+    cfg = RunConfig(Algorithm.LGD, step_size=0.1, max_iters=5, monitor_descent=True)
+    with pytest.raises(DescentViolationError) as err:
+        run(problem, net, np.array([0.5, -0.5]), cfg)
+    assert err.value.iteration == 0
+    assert [record.iteration for record in err.value.trace.records] == [0]
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -439,6 +453,48 @@ def test_config_rejects_non_finite_and_negative(fields):
     base = {"algorithm": Algorithm.LGD, "step_size": 0.1, "max_iters": 10}
     with pytest.raises(ValueError):
         RunConfig(**{**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+        ({"max_iters": True}, "max_iters must be an integer, got True"),
+        ({"max_iters": "3"}, "max_iters must be an integer, got '3'"),
+        ({"record_every": 1.5}, "record_every must be an integer, got 1.5"),
+        ({"record_every": True}, "record_every must be an integer, got True"),
+        ({"record_every": 0}, "record_every must be >= 1, got 0"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ],
+    ids=[
+        "max_iters_fraction",
+        "max_iters_bool",
+        "max_iters_string",
+        "record_every_fraction",
+        "record_every_bool",
+        "record_every_zero",
+        "seed_fraction",
+        "seed_bool",
+        "seed_negative",
+    ],
+)
+def test_config_refuses_counts_that_are_not_integers(fields, message):
+    # a fractional max_iters or record_every used to stall the run loop:
+    # at t = 2, max_iters = 2.5 left a span of int(2.5) - 2 = 0 steps
+    with pytest.raises(ValueError) as err:
+        RunConfig(**{"algorithm": Algorithm.LGD, "step_size": 0.1, "max_iters": 3, **fields})
+    assert str(err.value) == message
+
+
+def test_config_reads_integral_counts_as_ints():
+    cfg = RunConfig(Algorithm.LGD, 0.1, np.int64(3), seed=np.int64(2), record_every=1.0)
+    counts = (cfg.max_iters, cfg.record_every, cfg.seed)
+    assert counts == (3, 1, 2) and all(type(count) is int for count in counts)
+    problem = quadratic_problem([1.0, 2.0, 4.0], 3.0)
+    trace = run(problem, build_laplacian(cycle_graph(3)), np.ones(3), cfg)
+    assert [record.iteration for record in trace.records] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize(
@@ -511,3 +567,43 @@ def test_iteration_budget_validation():
         iteration_budget(0.0, 1.0, 1.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         iteration_budget(1.0, 0.0, -1.0, 0.1, 0.1)
+
+
+BAD_REALS = [math.inf, -math.inf, math.nan, -0.1]
+BAD_IDS = ["inf", "-inf", "nan", "negative"]
+
+
+@pytest.mark.parametrize("bad", BAD_REALS, ids=BAD_IDS)
+def test_variance_for_tolerance_refuses_bad_grad_tol(bad):
+    with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+        variance_for_tolerance(bad, 2, 1)
+
+
+@pytest.mark.parametrize("bad", BAD_REALS, ids=BAD_IDS)
+@pytest.mark.parametrize("name", ["grad_tol", "lambda_max", "lip_hess"])
+def test_curvature_tolerance_refuses_bad_arguments(name, bad):
+    args = {"grad_tol": 0.1, "lambda_max": 4.0, "lip_hess": 1.0}
+    with pytest.raises(ValueError, match=f"{name} must be >= 0 and finite"):
+        curvature_tolerance(**{**args, name: bad})
+
+
+def test_curvature_tolerance_frozen():
+    # sqrt(0.1 * 4^1.5 * 1.25) = sqrt(1) and a quadratic's L_hess = 0
+    assert curvature_tolerance(0.1, 4.0, 1.25) == pytest.approx(1.0, rel=1e-15)
+    assert curvature_tolerance(0.0, 4.0, 1.0) == 0.0
+    assert curvature_tolerance(0.1, 4.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        (name, bad)
+        for name in ["psi_start", "min_sum", "lip_grad_aux", "grad_tol", "step_size"]
+        # objective values may be negative; only their gap may not
+        for bad in (BAD_REALS[:3] if name in ("psi_start", "min_sum") else BAD_REALS)
+    ],
+)
+def test_iteration_budget_refuses_bad_arguments(name, bad):
+    args = {"psi_start": 1.0, "min_sum": 0.0, "lip_grad_aux": 1.0, "grad_tol": 0.1, "step_size": 0.1}
+    with pytest.raises(ValueError, match=name):
+        iteration_budget(**{**args, name: bad})

@@ -219,6 +219,20 @@ def test_tangent_min_curvature_hard_cases(case, m, n, seed):
     assert value <= oracle + 1e-13 * scale
 
 
+@pytest.mark.parametrize("seed", [409, 939])
+def test_tangent_min_curvature_needs_its_pole_radius(seed):
+    # draws of the grid_values case that the hypothesis test above does not
+    # reach: with a zero radius around the poles the result is off by
+    # 0.026 (1 + max|H|) at seed 409 (m = 3, n = 2) and 0.0031 at 939
+    # (m = 2, n = 4)
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(2, 13), rng.integers(1, 5)
+    blocks = hard_blocks("grid_values", m, n, rng)
+    value = tangent_min_curvature(np.zeros(m * n), fixed_hessian_problem(blocks))
+    oracle = dense_tangent_curvature(blocks)
+    assert abs(value - oracle) <= 1e-10 * (1.0 + np.abs(blocks).max())
+
+
 def test_tangent_min_curvature_pole_at_first_midpoint():
     # the interlacing bracket is [0, 1] and its midpoint 0.5, a trial
     # point of the first pass, is a pole; the restricted Hessian is

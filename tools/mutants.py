@@ -1,0 +1,116 @@
+"""Mutation smoke for the certificate path: each mutant must fail its tests.
+
+Each mutant is a one-line edit of a file under ``src/`` and the test files
+that must catch it. For every mutant the script copies ``src/``, ``tests/``
+and ``pyproject.toml`` (the pytest settings) to a temporary directory,
+applies the edit there and runs the named test files in that copy, so the
+checkout is never written. The edited text must occur exactly once in its
+file: a mutant whose text has drifted is an error, not a skip.
+
+pytest's exit code 1 (tests failed) counts as killed, 0 as survived, and
+any other code as an error. Before the mutants, the unmutated copy must
+pass every named test file, or a broken copy would read as killed.
+
+    python3 tools/mutants.py
+
+exits 0 only when every mutant is killed. Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = (
+    Mutant(
+        "pole radius 0",
+        "src/lapgd/stationarity.py",
+        "radius = (n - 1) / (256.0 * m) * scale",
+        "radius = 0.0 * scale",
+        ("tests/test_stationarity.py",),
+    ),
+    Mutant(
+        "descent tolerance 1e-3",
+        "src/lapgd/optimizer.py",
+        "drop > bound + 1e-9",
+        "drop > bound + 1e-3",
+        ("tests/test_optimizer.py",),
+    ),
+    Mutant(
+        "stop test judges with gamma 0",
+        "src/lapgd/optimizer.py",
+        "judge(record, config.stop_eps, config.stop_gamma, feas_tol)",
+        "judge(record, config.stop_eps, 0.0, feas_tol)",
+        ("tests/test_engine.py",),
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def pytest_exit_code(copy: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def run_mutant(mutant: Mutant) -> str:
+    with tempfile.TemporaryDirectory(prefix="lapgd-mutant-") as tmp:
+        copy = Path(tmp)
+        copy_tree(copy)
+        target = copy / mutant.path
+        text = target.read_text(encoding="utf-8")
+        count = text.count(mutant.old)
+        if count != 1:
+            print(f"  {mutant.path} holds the mutated text {count} times, not once")
+            return "error"
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        code = pytest_exit_code(copy, mutant.tests)
+    return {1: "killed", 0: "survived"}.get(code, f"error (pytest exit {code})")
+
+
+def main() -> int:
+    tests = sorted({name for mutant in MUTANTS for name in mutant.tests})
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="lapgd-mutant-") as tmp:
+        copy_tree(Path(tmp))
+        code = pytest_exit_code(Path(tmp), tests)
+    print(f"unmutated copy: pytest exit {code} ({time.perf_counter() - start:.1f} s)")
+    if code != 0:
+        print("the unmutated copy must pass its tests before any mutant is judged")
+        return 1
+    failed = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        verdict = run_mutant(mutant)
+        seconds = time.perf_counter() - start
+        print(f"{mutant.name}: {verdict} by {', '.join(mutant.tests)} ({seconds:.1f} s)")
+        failed += verdict != "killed"
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,9 +9,11 @@ is ||B g||. The factor acts block-wise on stacked per-agent vectors
 through ``apply_lifted``, so the Kronecker product with the identity is
 never materialized. B is one edge list on every graph, multiplied as a
 dense copy on small graphs; on large ones nothing of size m x m is formed
-unless a spectrum falls back to the dense solver. The dense L and its PSD
-square root are references built on demand. Every graph size is numpy
-only: scipy is not loaded by anything in this module.
+unless a spectrum falls back to the dense solver: plain Lanczos finds
+the extremes from two vectors at a time, with no stored basis. The
+dense L and its PSD square root are references built on demand. Every
+graph size is numpy only: scipy is not loaded by anything in this
+module.
 
 Stacking convention: a stacked vector has length m * n with agent i's
 block at ``v[i * n : (i + 1) * n]``, i.e. ``v.reshape(m, n)`` puts one
@@ -31,10 +33,10 @@ import numpy as np
 # about the same both ways at 48 nodes (table in CHANGES.md).
 DENSE_MAX_M = 48
 
-# Largest Lanczos basis for the spectrum of a graph above DENSE_MAX_M;
-# one whose extremes have not converged by then falls back to the dense
-# eigvalsh. Ring-like graphs need about m steps, and the basis costs
-# O(m k^2) against the dense solver's O(m^3).
+# Most Lanczos steps for the spectrum of a graph above DENSE_MAX_M; one
+# whose extremes have not converged by then falls back to the dense
+# eigvalsh. Ring-like graphs need about m steps; k steps cost O(E k) in
+# products and O(k^3) in eigensolves of T, against the dense O(m^3).
 LANCZOS_MAX_STEPS = 500
 
 # Lanczos stops once both Ritz residual bounds are below this times the
@@ -341,51 +343,46 @@ class NetworkOperator:
 
 
 def lanczos_extremes(incidence: EdgeIncidence):
-    """(lambda_2, lambda_max, steps) of L = B' B by Lanczos with full
-    reorthogonalization, or None if the basis reached
-    ``LANCZOS_MAX_STEPS`` first.
+    """(lambda_2, lambda_max, steps) of L = B' B by plain Lanczos, or None
+    if it reached ``LANCZOS_MAX_STEPS`` first.
 
     Lanczos runs on L restricted to the complement of the ones vector,
     its kernel, so the extremes of the Ritz values there are lambda_2 and
     lambda_max. It starts from a fixed ``default_rng(0)`` vector, so equal
-    graphs give equal numbers, and after each three-term step
-    orthogonalizes the new vector against the whole basis and the ones
-    vector. At steps spaced geometrically
-    by ``LANCZOS_CHECK_GROWTH``, and whenever the new vector nearly
-    vanishes, it takes the eigenpairs of the tridiagonal matrix T and stops
-    once both extreme residual bounds beta_k |s_kj| are at most
-    ``LANCZOS_RTOL`` times the largest Ritz value; after m - 1 steps the
-    basis spans the whole complement and the Ritz values are exact.
+    graphs give equal numbers. It keeps the last two vectors and T, the
+    tridiagonal matrix of the three-term recurrence, and projects the ones
+    vector out of the start vector and of every new one, so rounding
+    cannot bring the kernel back; the basis is never reorthogonalized,
+    and the extreme Ritz values converge all the same (Paige). At steps
+    spaced geometrically by ``LANCZOS_CHECK_GROWTH``, and whenever the new
+    vector nearly vanishes, it takes the eigenpairs of T and stops once
+    both extreme residual bounds beta_k |s_kj| are at most
+    ``LANCZOS_RTOL`` times the largest Ritz value.
     """
-    m = incidence.shape[1]
     incidence_t = incidence.T
-    cap = min(LANCZOS_MAX_STEPS, m - 1)
-    basis = np.empty((cap, m))
-    alphas, betas = np.empty(cap), np.empty(cap)
-    vec = np.random.default_rng(0).standard_normal(m)
+    alphas, betas = np.empty(LANCZOS_MAX_STEPS), np.empty(LANCZOS_MAX_STEPS)
+    vec = np.random.default_rng(0).standard_normal(incidence.shape[1])
     vec -= vec.mean()
     vec /= np.linalg.norm(vec)
+    prev, beta = vec, 0.0
     check = 1
-    for steps in range(1, cap + 1):
-        basis[steps - 1] = vec
+    for steps in range(1, LANCZOS_MAX_STEPS + 1):
         out = incidence_t.apply(incidence.apply(vec[None], 1), 1)[0]
         alphas[steps - 1] = vec @ out
-        # the three-term recurrence, then one full pass against the basis
-        # and the ones vector for what rounding left along them
         out -= alphas[steps - 1] * vec
-        if steps > 1:
-            out -= betas[steps - 2] * basis[steps - 2]
-        out -= basis[:steps].T @ (basis[:steps] @ out)
+        out -= beta * prev
         out -= out.mean()
         beta = betas[steps - 1] = np.linalg.norm(out)
-        if steps >= check or beta <= LANCZOS_RTOL * alphas[:steps].max() or steps == cap:
+        if steps >= check or beta <= LANCZOS_RTOL * alphas[:steps].max() or steps == LANCZOS_MAX_STEPS:
             check = max(steps + 1, int(steps * LANCZOS_CHECK_GROWTH))
-            off = betas[: steps - 1]
-            ritz, vectors = np.linalg.eigh(np.diag(alphas[:steps]) + np.diag(off, 1) + np.diag(off, -1))
+            # T in its lower triangle, the only one eigh reads
+            tri = np.diag(alphas[:steps])
+            tri.flat[steps :: steps + 1] = betas[: steps - 1]
+            ritz, vectors = np.linalg.eigh(tri)
             bounds = beta * np.abs(vectors[-1, [0, -1]])
-            if steps == m - 1 or bounds.max() <= LANCZOS_RTOL * ritz[-1]:
+            if bounds.max() <= LANCZOS_RTOL * ritz[-1]:
                 return float(ritz[0]), float(ritz[-1]), steps
-        vec = out / beta
+        prev, vec = vec, out / beta
     return None
 
 

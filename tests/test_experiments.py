@@ -25,9 +25,9 @@ from lapgd.experiments import (
     tangent_perturbation,
 )
 from lapgd.network import block_sum, is_connected
-from lapgd.objectives import stacked_value
-from lapgd.optimizer import Algorithm, RunConfig, Trace, TraceRecord, run
-from lapgd.stationarity import Classification, classify, default_feas_tol
+from lapgd.objectives import lipschitz_constants, stacked_value
+from lapgd.optimizer import Algorithm, RunConfig, Trace, TraceRecord, curvature_tolerance, run
+from lapgd.stationarity import Classification, classify, default_feas_tol, transfer_certificate
 
 
 def truncated(scenario, max_iters=2000, record_every=100):
@@ -269,12 +269,19 @@ def test_final_report_judges_the_last_record(monkeypatch):
     batch = run_batch(sc, [0], sc.configs)
     # the certifier is not run again when the last record holds curvature
     monkeypatch.setattr(experiments, "measure", None)
+    _, lip_hess = lipschitz_constants(sc.problem)
     for result in batch.runs:
         report = experiments.final_report(result.trace, sc.problem, sc.net)
         again = classify(
             result.trace.final_theta, sc.problem, sc.net, report.eps, report.gamma
         )
         assert report == again == result.final_report
+        # the tolerances are the last record's own gradient and the
+        # curvature tolerance that follows from it
+        eps = result.trace.records[-1].proj_grad_norm
+        curv_tol = curvature_tolerance(eps, sc.net.lambda_max, lip_hess)
+        assert report.eps == eps
+        assert report.gamma == transfer_certificate(eps, curv_tol, sc.net)[1]
 
 
 def test_final_report_measures_without_curvature_records():

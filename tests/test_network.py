@@ -278,7 +278,8 @@ def test_lanczos_gives_equal_graphs_equal_numbers():
     first = lanczos_extremes(build_laplacian(graph).incidence)
     again = lanczos_extremes(build_laplacian(watts_strogatz(300, 4, 0.2, seed=5)).incidence)
     assert first == again
-    # converged before the basis spans the ones-complement (299 steps)
+    # converged in fewer steps than the ones-complement has dimensions
+    # (299), the count at which an orthogonal basis would end exactly
     assert first[2] < 299
     eigs = np.linalg.eigvalsh(build_laplacian(graph).laplacian)
     assert first[:2] == pytest.approx((eigs[1], eigs[-1]), rel=1e-10)
@@ -308,6 +309,43 @@ def test_lanczos_falls_back_to_the_dense_eigensolve_at_its_cap():
     assert (capped.lambda_min_plus, capped.lambda_max) == (dense.lambda_min_plus, dense.lambda_max)
     uncapped = lanczos_extremes(capped.incidence)
     assert uncapped[:2] == pytest.approx((dense.lambda_min_plus, dense.lambda_max), rel=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(DENSE_MAX_M + 1, 700),
+    k=st.sampled_from([2, 4, 6, 8, 10, 12]),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 1000),
+)
+def test_lanczos_extremes_match_the_dense_spectrum(m, k, p, seed):
+    # plain Lanczos either reaches its cap or finds both extremes; a
+    # graph built twice gives the same bits
+    graph = watts_strogatz(m, k, p, seed)
+    net = build_laplacian(graph)
+    extremes = lanczos_extremes(net.incidence)
+    if extremes is not None:
+        eigs = np.linalg.eigvalsh(net.laplacian)
+        assert extremes[:2] == pytest.approx((eigs[1], eigs[-1]), rel=1e-10)
+        assert (net.lambda_min_plus, net.lambda_max) == extremes[:2]
+    again = build_laplacian(watts_strogatz(m, k, p, seed))
+    assert (again.lambda_min_plus, again.lambda_max) == (net.lambda_min_plus, net.lambda_max)
+    assert lanczos_extremes(again.incidence) == extremes
+
+
+def test_lanczos_holds_no_basis():
+    # a (steps, m) basis would take 20 MB here; the recurrence keeps a
+    # few m-vectors and the tridiagonal matrix
+    import tracemalloc
+
+    net = build_laplacian(watts_strogatz(5000, 4, 0.2, seed=0))
+    tracemalloc.start()
+    try:
+        assert lanczos_extremes(net.incidence) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_sparse_references_match_the_dense_path():

@@ -1,4 +1,5 @@
-"""Mutation smoke for the certificate path: each mutant must fail its tests.
+"""Mutation smoke for the certificate path and the spectrum: each mutant
+must fail its tests.
 
 Each mutant is a one-line edit of a file under ``src/`` and the test files
 that must catch it. For every mutant the script copies ``src/``, ``tests/``
@@ -59,6 +60,27 @@ MUTANTS = (
         "judge(record, config.stop_eps, config.stop_gamma, feas_tol)",
         "judge(record, config.stop_eps, 0.0, feas_tol)",
         ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "final certificate at ten times the last gradient",
+        "src/lapgd/experiments.py",
+        "eps = last.proj_grad_norm",
+        "eps = 10 * last.proj_grad_norm",
+        ("tests/test_experiments.py",),
+    ),
+    Mutant(
+        "Lanczos start vector keeps its ones component",
+        "src/lapgd/network.py",
+        "vec -= vec.mean()",
+        "pass",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "Lanczos steps keep their ones component",
+        "src/lapgd/network.py",
+        "out -= out.mean()",
+        "pass",
+        ("tests/test_network.py",),
     ),
 )
 

@@ -22,6 +22,7 @@ agent per row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -36,7 +37,7 @@ DENSE_MAX_M = 48
 # Most Lanczos steps for the spectrum of a graph above DENSE_MAX_M; one
 # whose extremes have not converged by then falls back to the dense
 # eigvalsh. Ring-like graphs need about m steps; k steps cost O(E k) in
-# products and O(k^3) in eigensolves of T, against the dense O(m^3).
+# products and O(k^3) in the eigenvalues of T, against the dense O(m^3).
 LANCZOS_MAX_STEPS = 500
 
 # Lanczos stops once both Ritz residual bounds are below this times the
@@ -342,6 +343,32 @@ class NetworkOperator:
         return root
 
 
+def _ritz_last_entry(diag: list, off: list, theta: float) -> float:
+    """|s_k|, the last entry of the unit eigenvector s of the symmetric k x k
+    tridiagonal T (diagonal ``diag``, nonzero off-diagonal ``off``, Python
+    floats) for its eigenvalue theta, in O(k) memory.
+
+    It runs T's three-term recurrence backward from z_k = 1, z_{i-1} =
+    ((theta - a_i) z_i - b_i z_{i+1}) / b_{i-1}, so z solves every row of
+    (T - theta I) z = 0 but the first: z is c (T - theta I)^-1 e_1, one
+    step of inverse iteration from e_1 at a shift equal to the eigenvalue
+    up to rounding (Parlett, The Symmetric Eigenvalue Problem, section 7),
+    and |s_k| = |z_k| / ||z||. That step finds s when its first entry s_1
+    is well above rounding, as it is for the extreme Ritz vectors of a
+    Lanczos run from a random start. Whenever z grows past 2^300, z, z_k
+    and the running squared norm are scaled down by a power of two, so
+    none overflows.
+    """
+    z, z_next, last, norm_sq, b_next = 1.0, 0.0, 1.0, 1.0, 0.0
+    for a, b in zip(diag[:0:-1], off[::-1]):
+        z, z_next, b_next = ((theta - a) * z - b_next * z_next) / b, z, b
+        if abs(z) > 2.0**300:
+            z, z_next, last = z * 2.0**-300, z_next * 2.0**-300, last * 2.0**-300
+            norm_sq *= 2.0**-600
+        norm_sq += z * z
+    return last / math.sqrt(norm_sq)
+
+
 def lanczos_extremes(incidence: EdgeIncidence):
     """(lambda_2, lambda_max, steps) of L = B' B by plain Lanczos, or None
     if it reached ``LANCZOS_MAX_STEPS`` first.
@@ -355,9 +382,10 @@ def lanczos_extremes(incidence: EdgeIncidence):
     cannot bring the kernel back; the basis is never reorthogonalized,
     and the extreme Ritz values converge all the same (Paige). At steps
     spaced geometrically by ``LANCZOS_CHECK_GROWTH``, and whenever the new
-    vector nearly vanishes, it takes the eigenpairs of T and stops once
-    both extreme residual bounds beta_k |s_kj| are at most
-    ``LANCZOS_RTOL`` times the largest Ritz value.
+    vector nearly vanishes, it takes the Ritz values, the eigenvalues of
+    T, and stops once both extreme residual bounds beta_k |s_kj| are at
+    most ``LANCZOS_RTOL`` times the largest Ritz value. No eigenvector of
+    T is formed: ``_ritz_last_entry`` gives each s_kj from T's recurrence.
     """
     incidence_t = incidence.T
     alphas, betas = np.empty(LANCZOS_MAX_STEPS), np.empty(LANCZOS_MAX_STEPS)
@@ -375,12 +403,13 @@ def lanczos_extremes(incidence: EdgeIncidence):
         beta = betas[steps - 1] = np.linalg.norm(out)
         if steps >= check or beta <= LANCZOS_RTOL * alphas[:steps].max() or steps == LANCZOS_MAX_STEPS:
             check = max(steps + 1, int(steps * LANCZOS_CHECK_GROWTH))
-            # T in its lower triangle, the only one eigh reads
+            # T in its lower triangle, the only one eigvalsh reads
             tri = np.diag(alphas[:steps])
             tri.flat[steps :: steps + 1] = betas[: steps - 1]
-            ritz, vectors = np.linalg.eigh(tri)
-            bounds = beta * np.abs(vectors[-1, [0, -1]])
-            if bounds.max() <= LANCZOS_RTOL * ritz[-1]:
+            ritz = np.linalg.eigvalsh(tri)
+            diag, off = alphas[:steps].tolist(), betas[: steps - 1].tolist()
+            entry = max(_ritz_last_entry(diag, off, theta) for theta in ritz[[0, -1]].tolist())
+            if beta * entry <= LANCZOS_RTOL * ritz[-1]:
                 return float(ritz[0]), float(ritz[-1]), steps
         prev, vec = vec, out / beta
     return None

@@ -30,6 +30,7 @@ from lapgd.network import (
     watts_strogatz,
     write_edge_list,
 )
+from lapgd.network import _ritz_last_entry
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -335,7 +336,9 @@ def test_lanczos_extremes_match_the_dense_spectrum(m, k, p, seed):
 
 def test_lanczos_holds_no_basis():
     # a (steps, m) basis would take 20 MB here; the recurrence keeps a
-    # few m-vectors and the tridiagonal matrix
+    # few m-vectors and the tridiagonal matrix T (259 steps, 0.5 MB, and
+    # as much again inside eigvalsh): 1.08 MB traced peak. An eigh of T,
+    # with its eigenvectors and workspace, takes the peak to 1.6 MB or more
     import tracemalloc
 
     net = build_laplacian(watts_strogatz(5000, 4, 0.2, seed=0))
@@ -345,7 +348,96 @@ def test_lanczos_holds_no_basis():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert peak <= 1.3 * 2**20
+
+
+def lanczos_checks(graph):
+    """``lanczos_extremes`` on graph, and every (diag, off, theta, |s_k|)
+    it passed to and got from ``_ritz_last_entry``."""
+    import lapgd.network as network
+
+    calls = []
+
+    def spy(diag, off, theta):
+        entry = _ritz_last_entry(diag, off, theta)
+        calls.append((diag, off, theta, entry))
+        return entry
+
+    net = build_laplacian(graph)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_ritz_last_entry", spy)
+        extremes = lanczos_extremes(net.incidence)
+    return extremes, calls
+
+
+def tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        watts_strogatz(120, 4, 0.2, seed=0),
+        watts_strogatz(120, 2, 0.2, seed=0),
+        watts_strogatz(600, 4, 0.2, seed=3),
+        # 124 steps, past the 119 dimensions of the ones-complement
+        path_graph(120),
+        cycle_graph(300),
+    ],
+    ids=["ws_k4_120", "ws_k2_120", "ws_k4_600", "path_120", "cycle_300"],
+)
+def test_ritz_last_entry_matches_eigh_on_lanczos_runs(graph):
+    # on every T that Lanczos checks, the recurrence's |s_kj| is the last
+    # entry of eigh's eigenvector, to the eps ||T|| / gap that eigh's
+    # vector is good for. An extreme Ritz value with a near-copy (a
+    # ghost of plain Lanczos, gap below 1e-8 theta_max) has no single
+    # eigenvector; there the recurrence's vector lies in the copies'
+    # span, so its last entry is at most the norm of the span's
+    eps = np.finfo(float).eps
+    extremes, calls = lanczos_checks(graph)
+    assert extremes is not None and len(calls) >= 20
+    compared = 0
+    for diag, off, theta, entry in calls:
+        values, vectors = np.linalg.eigh(tridiagonal(diag, off))
+        top = values[-1]
+        j = 0 if abs(theta - values[0]) <= abs(theta - values[-1]) else len(values) - 1
+        assert theta == pytest.approx(values[j], rel=1e-13, abs=1e-13 * top)
+        others = np.abs(np.delete(values, j) - values[j])
+        if others.size == 0 or others.min() >= 1e-8 * top:
+            compared += 1
+            gap = others.min() if others.size else top
+            assert entry == pytest.approx(abs(vectors[-1, j]), rel=0, abs=16 * eps * top / gap)
+        else:
+            near = np.abs(values - values[j]) < 1e-8 * top
+            assert entry <= np.linalg.norm(vectors[-1, near]) + 1e-12
+    assert compared >= 0.75 * len(calls)
+
+
+def test_ritz_last_entry_of_one_step():
+    # K_60 stops after one step: T is 1 x 1 and the new vector vanishes
+    # (beta = 0), so s = e_1 and |s_k| = 1
+    assert _ritz_last_entry([60.0], [], 60.0) == 1.0
+    extremes, calls = lanczos_checks(complete_graph(60))
+    assert extremes[2] == 1
+    assert [(len(diag), off, entry) for diag, off, _, entry in calls] == [(1, [], 1.0)] * 2
+
+
+def test_ritz_last_entry_rescales_a_500_step_tridiagonal():
+    # diag (1/r, 0, ..., 0, r) with unit off-diagonal has the eigenvector
+    # s_i = r^(i-1) at its largest eigenvalue r + 1/r, so |s_k| = r^(k-1)
+    # sqrt((1 - r^2) / (1 - r^(2k))): 4^-499 here, whose reciprocal
+    # squared overflows without the rescaling
+    k, r = 500, 0.25
+    diag, off = [1 / r] + [0.0] * (k - 2) + [r], [1.0] * (k - 1)
+    theta = np.linalg.eigvalsh(tridiagonal(diag, off))[-1]
+    assert theta == pytest.approx(r + 1 / r, rel=1e-15)
+    entry = _ritz_last_entry(diag, off, float(theta))
+    assert entry == pytest.approx(r ** (k - 1) * np.sqrt(1 - r**2), rel=1e-12, abs=0)
+    # the exact eigenvalue, and a 101-step T whose recurrence never
+    # rescales, agree with the same closed form
+    assert _ritz_last_entry(diag, off, r + 1 / r) == pytest.approx(entry, rel=1e-12, abs=0)
+    short = _ritz_last_entry(diag[:100] + [r], off[:100], r + 1 / r)
+    assert short == pytest.approx(r**100 * np.sqrt(1 - r**2), rel=1e-12, abs=0)
 
 
 def test_sparse_references_match_the_dense_path():

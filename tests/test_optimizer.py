@@ -20,6 +20,7 @@ from lapgd.objectives import (
     smart_grid_problem,
 )
 from lapgd.optimizer import (
+    DIVERGENCE_NORM,
     Algorithm,
     DescentViolationError,
     DivergenceError,
@@ -277,6 +278,19 @@ def test_run_divergence_guard():
     assert err.value.iteration >= 1
     assert isinstance(err.value.trace, Trace)
     assert len(err.value.trace.records) >= 1
+
+
+def test_divergence_guard_stops_at_the_first_iterate_past_its_norm():
+    # step 1.1 multiplies the tangent part (1, -1) d / 2 of the iterate by
+    # -1.2 per step, so the first iterate past the guard is less than 1.2
+    # times it: a run alone must stop there, and a stack-sum pre-check
+    # that let squared norms up to 1.44 times the guard's through would
+    # miss it
+    problem, net = two_agent_quadratic()
+    past = next(t for t in range(1, 1000) if 0.5 + 1.44**t / 2 > DIVERGENCE_NORM**2)
+    with pytest.raises(DivergenceError) as err:
+        run(problem, net, np.array([1.0, 0.0]), RunConfig(Algorithm.LGD, 1.1, 1000))
+    assert err.value.iteration == past == 154
 
 
 def test_diverged_run_keeps_its_first_certified_iteration():

@@ -1,5 +1,5 @@
-"""Mutation smoke for the certificate path and the spectrum: each mutant
-must fail its tests.
+"""Mutation smoke for the certificate path, the run guards and the
+spectrum: each mutant must fail its tests.
 
 Each mutant is a one-line edit of a file under ``src/`` and the test files
 that must catch it. For every mutant the script copies ``src/``, ``tests/``
@@ -81,6 +81,90 @@ MUTANTS = (
         "out -= out.mean()",
         "pass",
         ("tests/test_network.py",),
+    ),
+    Mutant(
+        "Ritz recurrence drops its b_i z_(i+1) term",
+        "src/lapgd/network.py",
+        "z, z_next, b_next = ((theta - a) * z - b_next * z_next) / b, z, b",
+        "z, z_next, b_next = (theta - a) * z / b, z, b",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "Ritz recurrence returns the squared last entry",
+        "src/lapgd/network.py",
+        "return last / math.sqrt(norm_sq)",
+        "return (last / math.sqrt(norm_sq)) ** 2",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "Ritz recurrence never rescales",
+        "src/lapgd/network.py",
+        "if abs(z) > 2.0**300:",
+        "if False:",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "judge ignores the curvature floor",
+        "src/lapgd/stationarity.py",
+        "elif measured.tangent_curvature >= -gamma:",
+        "elif True:",
+        ("tests/test_stationarity.py",),
+    ),
+    Mutant(
+        "judge's curvature floor is strict",
+        "src/lapgd/stationarity.py",
+        "elif measured.tangent_curvature >= -gamma:",
+        "elif measured.tangent_curvature > -gamma:",
+        ("tests/test_stationarity.py",),
+    ),
+    Mutant(
+        "certificate transfer divides by lambda_max",
+        "src/lapgd/stationarity.py",
+        "float(curv_tol) / net.lambda_min_plus",
+        "float(curv_tol) / net.lambda_max",
+        ("tests/test_stationarity.py",),
+    ),
+    Mutant(
+        "feasibility tolerance times 1e4",
+        "src/lapgd/stationarity.py",
+        "return 1e-8 * (1.0 + float(np.linalg.norm(demand)))",
+        "return 1e-4 * (1.0 + float(np.linalg.norm(demand)))",
+        ("tests/test_stationarity.py",),
+    ),
+    Mutant(
+        "curvature bracket stops at 1e-9 max|d|",
+        "src/lapgd/stationarity.py",
+        "done = width <= 4.0 * ulp",
+        "done = width <= 4.5e6 * ulp",
+        ("tests/test_stationarity.py",),
+    ),
+    Mutant(
+        "certifier returns its bracket's upper end",
+        "src/lapgd/stationarity.py",
+        "lowest[live[done]] = lo[done]",
+        "lowest[live[done]] = hi[done]",
+        ("tests/test_stationarity.py",),
+    ),
+    Mutant(
+        "escape counts a record at f_ref - delta",
+        "src/lapgd/experiments.py",
+        "if record.f_value < f_ref - delta:",
+        "if record.f_value <= f_ref - delta:",
+        ("tests/test_experiments.py",),
+    ),
+    Mutant(
+        "escape delta times 10",
+        "src/lapgd/experiments.py",
+        "delta = 1e-4 * (1.0 + abs(f_ref))",
+        "delta = 1e-3 * (1.0 + abs(f_ref))",
+        ("tests/test_experiments.py",),
+    ),
+    Mutant(
+        "divergence pre-check at 1.9 of the bound",
+        "src/lapgd/optimizer.py",
+        "if np.dot(flat, flat) < 0.98 * DIVERGENCE_NORM**2:",
+        "if np.dot(flat, flat) < 1.9 * DIVERGENCE_NORM**2:",
+        ("tests/test_optimizer.py",),
     ),
 )
 

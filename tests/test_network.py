@@ -160,7 +160,7 @@ def test_operator_invariants(seed):
     assert np.linalg.norm(sqrt @ sqrt - lap) <= 1e-10 * np.linalg.norm(lap)
     assert np.allclose(sqrt, sqrt.T, atol=1e-14)
     # largest eigenvalue equals the squared spectral norm of the root
-    assert net.lambda_max == pytest.approx(np.linalg.norm(sqrt, 2) ** 2, rel=1e-10)
+    assert net.lambda_max == pytest.approx(np.linalg.norm(sqrt, 2) ** 2, rel=1e-10, abs=0)
     ones = np.ones(15)
     assert np.linalg.norm(lap @ ones) <= 1e-10
     # the kernel eigenvalue's root is exactly 0, so only rounding is left
@@ -241,8 +241,8 @@ def test_sparse_spectrum_matches_dense_eigensolve(seed):
     graph = watts_strogatz(DENSE_MAX_M + 24, 4, 0.2, seed=seed)
     net = build_laplacian(graph)
     eigs = np.linalg.eigvalsh(net.laplacian)
-    assert net.lambda_min_plus == pytest.approx(eigs[1], rel=1e-10)
-    assert net.lambda_max == pytest.approx(eigs[-1], rel=1e-10)
+    assert net.lambda_min_plus == pytest.approx(eigs[1], rel=1e-10, abs=0)
+    assert net.lambda_max == pytest.approx(eigs[-1], rel=1e-10, abs=0)
     again = build_laplacian(graph)
     assert (again.lambda_min_plus, again.lambda_max) == (net.lambda_min_plus, net.lambda_max)
 
@@ -268,8 +268,8 @@ def test_sparse_spectrum_matches_dense_eigensolve_across_families(family, m):
     assert net.incidence.dense is None
     incidence = net.incidence.toarray()
     eigs = np.linalg.eigvalsh(incidence.T @ incidence)
-    assert net.lambda_min_plus == pytest.approx(eigs[1], rel=1e-10)
-    assert net.lambda_max == pytest.approx(eigs[-1], rel=1e-10)
+    assert net.lambda_min_plus == pytest.approx(eigs[1], rel=1e-10, abs=0)
+    assert net.lambda_max == pytest.approx(eigs[-1], rel=1e-10, abs=0)
     again = build_laplacian(graph)
     assert (again.lambda_min_plus, again.lambda_max) == (net.lambda_min_plus, net.lambda_max)
 
@@ -283,7 +283,7 @@ def test_lanczos_gives_equal_graphs_equal_numbers():
     # (299), the count at which an orthogonal basis would end exactly
     assert first[2] < 299
     eigs = np.linalg.eigvalsh(build_laplacian(graph).laplacian)
-    assert first[:2] == pytest.approx((eigs[1], eigs[-1]), rel=1e-10)
+    assert first[:2] == pytest.approx((eigs[1], eigs[-1]), rel=1e-10, abs=0)
 
 
 def test_lanczos_stops_after_one_step_on_the_complete_graph():
@@ -309,7 +309,7 @@ def test_lanczos_falls_back_to_the_dense_eigensolve_at_its_cap():
         dense = build_laplacian(graph)
     assert (capped.lambda_min_plus, capped.lambda_max) == (dense.lambda_min_plus, dense.lambda_max)
     uncapped = lanczos_extremes(capped.incidence)
-    assert uncapped[:2] == pytest.approx((dense.lambda_min_plus, dense.lambda_max), rel=1e-10)
+    assert uncapped[:2] == pytest.approx((dense.lambda_min_plus, dense.lambda_max), rel=1e-10, abs=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -327,7 +327,7 @@ def test_lanczos_extremes_match_the_dense_spectrum(m, k, p, seed):
     extremes = lanczos_extremes(net.incidence)
     if extremes is not None:
         eigs = np.linalg.eigvalsh(net.laplacian)
-        assert extremes[:2] == pytest.approx((eigs[1], eigs[-1]), rel=1e-10)
+        assert extremes[:2] == pytest.approx((eigs[1], eigs[-1]), rel=1e-10, abs=0)
         assert (net.lambda_min_plus, net.lambda_max) == extremes[:2]
     again = build_laplacian(watts_strogatz(m, k, p, seed))
     assert (again.lambda_min_plus, again.lambda_max) == (net.lambda_min_plus, net.lambda_max)
@@ -452,7 +452,7 @@ def test_sparse_references_match_the_dense_path():
     assert np.array_equal(sparse.laplacian, dense.laplacian)
     assert np.array_equal(sparse.sqrt_laplacian, dense.sqrt_laplacian)
     assert sparse.lambda_max == pytest.approx(dense.lambda_max, rel=1e-12)
-    assert sparse.lambda_min_plus == pytest.approx(dense.lambda_min_plus, rel=1e-10)
+    assert sparse.lambda_min_plus == pytest.approx(dense.lambda_min_plus, rel=1e-10, abs=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,7 +493,7 @@ def test_dense_and_edge_list_applies_agree(m, k, p, seed, runs, n):
     eigvals = np.linalg.eigvalsh(np.asfortranarray(incidence.T) @ incidence)
     assert (dense.lambda_min_plus, dense.lambda_max) == (float(eigvals[1]), float(eigvals[-1]))
     assert (edges.lambda_min_plus, edges.lambda_max) == pytest.approx(
-        (dense.lambda_min_plus, dense.lambda_max), rel=1e-10
+        (dense.lambda_min_plus, dense.lambda_max), rel=1e-10, abs=0
     )
 
 
@@ -511,8 +511,9 @@ def run_fresh(script, *args):
 
 def test_small_graph_paths_leave_scipy_unloaded(tmp_path):
     # no graph size loads scipy: the import, a batch with its export, CLI
-    # runs on 20 and 2000 nodes, a build one node above DENSE_MAX_M and a
-    # CLI spectrum of 2000 nodes are numpy only
+    # runs on 20 and 2000 nodes, a build one node above DENSE_MAX_M, a CLI
+    # spectrum of 2000 nodes and `lapgd params` on a portfolio, whose
+    # global minimum is estimated numerically, are numpy only
     for m in (20, 2000):
         (tmp_path / f"grid{m}.yaml").write_text(
             textwrap.dedent(
@@ -530,6 +531,16 @@ def test_small_graph_paths_leave_scipy_unloaded(tmp_path):
             ),
             encoding="utf-8",
         )
+    (tmp_path / "portfolio.yaml").write_text(
+        textwrap.dedent(
+            """\
+            problem: {family: portfolio, m: 20, n: 5, demand: 1.0, param_seed: 0}
+            network: {kind: watts_strogatz, m: 20, k: 4, p: 0.2, seed: 0}
+            init: {kind: uniform_split}
+            """
+        ),
+        encoding="utf-8",
+    )
     write_edge_list(watts_strogatz(2000, 4, 0.2, 0), tmp_path / "ws2000.txt")
     script = textwrap.dedent(
         """\
@@ -550,11 +561,12 @@ def test_small_graph_paths_leave_scipy_unloaded(tmp_path):
         build_laplacian(watts_strogatz(49, 4, 0.2, 0))
         codes.append(main(["run", out + "/grid2000.yaml", "--out-dir", out + "/run2000"]))
         codes.append(main(["spectrum", out + "/ws2000.txt"]))
+        codes.append(main(["params", out + "/portfolio.yaml", "--grad-tol", "0.1"]))
         print(json.dumps({"codes": codes, "scipy": loaded()}))
         """
     )
     reply = run_fresh(script, str(tmp_path))
-    assert reply["codes"] == [0, 0, 0]
+    assert reply["codes"] == [0, 0, 0, 0]
     assert reply["scipy"] == []
 
 

@@ -1,5 +1,5 @@
-"""Mutation smoke for the certificate path, the run guards and the
-spectrum: each mutant must fail its tests.
+"""Mutation smoke for the certificate path, the run guards, the
+spectrum and the minimum estimate: each mutant must fail its tests.
 
 Each mutant is a one-line edit of a file under ``src/`` and the test files
 that must catch it. For every mutant the script copies ``src/``, ``tests/``
@@ -165,6 +165,48 @@ MUTANTS = (
         "if np.dot(flat, flat) < 0.98 * DIVERGENCE_NORM**2:",
         "if np.dot(flat, flat) < 1.9 * DIVERGENCE_NORM**2:",
         ("tests/test_optimizer.py",),
+    ),
+    Mutant(
+        "minimum estimate takes the origin start, not each agent's best",
+        "src/lapgd/objectives.py",
+        "params)).min() for i in range(m)]",
+        "params))[0] for i in range(m)]",
+        ("tests/test_objectives.py",),
+    ),
+    Mutant(
+        "minimum estimate takes the start with the best sum for every agent",
+        "src/lapgd/objectives.py",
+        "best = [problem.value(points[:, [i]], *(p[[i]] for p in params)).min() for i in range(m)]",
+        "best = [values.min()]",
+        ("tests/test_objectives.py",),
+    ),
+    Mutant(
+        "minimum estimate steps along plain Newton",
+        "src/lapgd/objectives.py",
+        "np.maximum(np.abs(eigvals), 1e-12)",
+        "eigvals",
+        ("tests/test_objectives.py",),
+    ),
+    Mutant(
+        "minimum estimate stops once any start settles",
+        "src/lapgd/objectives.py",
+        "if np.all(decrement <= 1e-15",
+        "if np.any(decrement <= 1e-15",
+        ("tests/test_objectives.py",),
+    ),
+    Mutant(
+        "minimum estimate stops at 1e-10 (1 + |F|)",
+        "src/lapgd/objectives.py",
+        "decrement <= 1e-15 * (1.0",
+        "decrement <= 1e-10 * (1.0",
+        ("tests/test_objectives.py",),
+    ),
+    Mutant(
+        "minimum estimate makes one pass",
+        "src/lapgd/objectives.py",
+        "for _ in range(100):",
+        "for _ in range(1):",
+        ("tests/test_objectives.py",),
     ),
 )
 

@@ -5,9 +5,10 @@ on a named scenario), sweep (noise-level sweep), check (certify a saved
 allocation), spectrum (graph spectral summary), params (theory-backed
 parameter calculator).
 
-Exit codes: 0 success, 1 negative domain answer (not certified,
-disconnected graph), 2 input or config error, 3 runtime failure
-(infeasible start, divergence).
+Exit codes: 0 success, 1 negative domain answer, 2 input or config
+error, 3 runtime failure (infeasible start, divergence). Code 1 comes
+only from the negative answers of check (not certified) and spectrum
+(disconnected graph).
 """
 
 from __future__ import annotations

@@ -40,22 +40,27 @@ class ConfigError(ValueError):
     """A config file is missing a field or holds an invalid value."""
 
 
-def _require(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"missing field {path}.{key}")
-    return section[key]
+def _field(section: dict, key, path: str, default=None) -> tuple:
+    """The dotted name of ``section[key]`` and its value, or ``default``
+    when the key is absent; with no default a missing key is an error."""
+    name = f"{path}.{key}" if path else str(key)
+    if key in section:
+        return name, section[key]
+    if default is None:
+        raise ConfigError(f"missing field {name}")
+    return name, default
 
 
-def _integer(section: dict, key: str, path: str, default=None, minimum=None) -> int:
+def _integer(section: dict, key, path: str, default=None, minimum=None) -> int:
     """An integer field, at least ``minimum`` when given; an integral float
     such as 1.0e5 passes, 10.5 and booleans do not."""
-    value = _require(section, key, path) if default is None else section.get(key, default)
+    name, value = _field(section, key, path, default)
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
@@ -63,20 +68,20 @@ def _real(section: dict, key: str, path: str, default=None) -> float:
     """A finite real-number field; a numeric string passes, since YAML 1.1
     reads an exponent without a dot such as 1e-6 as a string; booleans,
     None and other strings do not."""
-    value = _require(section, key, path) if default is None else section.get(key, default)
+    name, value = _field(section, key, path, default)
     try:
         number = None if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = None
     if number is None:
-        raise ConfigError(f"{path}.{key} must be a real number, got {value!r}")
-    return _finite(number, value, f"{path}.{key}")
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return _finite(number, value, name)
 
 
 def _reals(section: dict, key: str, path: str, default=None) -> np.ndarray:
     """A finite number or nested lists of them, as a float array; numeric
     strings pass as in ``_real``, booleans and None do not."""
-    value = _require(section, key, path) if default is None else section.get(key, default)
+    name, value = _field(section, key, path, default)
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -84,8 +89,8 @@ def _reals(section: dict, key: str, path: str, default=None) -> np.ndarray:
     if array is None or any(
         isinstance(x, bool) or x is None for x in np.asarray(value, dtype=object).flat
     ):
-        raise ConfigError(f"{path}.{key} must be real numbers, got {value!r}")
-    return _finite(array, value, f"{path}.{key}")
+        raise ConfigError(f"{name} must be real numbers, got {value!r}")
+    return _finite(array, value, name)
 
 
 def _finite(number, value, field: str):
@@ -98,19 +103,32 @@ def _finite(number, value, field: str):
 def _flag(section: dict, key: str, path: str) -> bool:
     """A true/false field, false when absent. YAML reads true, yes, on and
     their opposites as booleans; a quoted "false" stays a string."""
-    value = section.get(key, False)
+    name, value = _field(section, key, path, False)
     if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key} must be true or false, got {value!r}")
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _typed(section: dict, key, path: str, kind=str, default=None, choices=None):
+    """A field of type ``kind``, a string unless told otherwise, and one of
+    ``choices`` when given. Nothing is converted: a number is not a string,
+    so a numeric file name must be quoted."""
+    name, value = _field(section, key, path, default)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
     return value
 
 
 def _check_keys(section: dict, allowed, path: str):
     unknown = set(section) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown field {path}.{sorted(unknown)[0]}")
+        raise ConfigError(f"unknown field {path}.{min(map(str, unknown))}")
 
 
-def load_config(path) -> dict:
+def _load_mapping(path) -> dict:
+    """A YAML file whose top level is a mapping: a config or a manifest."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = yaml.safe_load(handle)
@@ -118,6 +136,11 @@ def load_config(path) -> dict:
             raise ConfigError(f"{path}: not valid YAML: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping of sections")
+    return data
+
+
+def load_config(path) -> dict:
+    data = _load_mapping(path)
     _check_keys(data, ("problem", "network", "run", "init"), str(path))
     for name, section in data.items():
         if not isinstance(section, dict):
@@ -125,14 +148,11 @@ def load_config(path) -> dict:
     return data
 
 
-def build_problem(section: dict) -> ProblemInstance:
-    """Draw or build the problem through its family's entry in ``FAMILIES``."""
+def build_problem(section: dict, m: int) -> ProblemInstance:
+    """Draw or build the problem of ``m`` agents through its family's
+    entry in ``FAMILIES``."""
     _check_keys(section, ("family", "m", "n", "demand", "params", "param_seed"), "problem")
-    name = _require(section, "family", "problem")
-    if name not in FAMILIES:
-        raise ConfigError(f"problem.family must be one of {', '.join(FAMILIES)}, got {name!r}")
-    family = FAMILIES[name]
-    m = _integer(section, "m", "problem", minimum=1)
+    family = FAMILIES[_typed(section, "family", "problem", choices=FAMILIES)]
     n = _integer(section, "n", "problem", 1, minimum=1)
     demand = np.atleast_1d(_reals(section, "demand", "problem", 0.0))
     if demand.shape not in ((1,), (n,)):
@@ -174,33 +194,29 @@ def _explicit_params(family: Family, params, m: int, n: int) -> dict:
     return values
 
 
-def build_network(section: dict, agent_dim: int) -> tuple:
+_GENERATORS = {"watts_strogatz": watts_strogatz, "path": path_graph,
+               "cycle": cycle_graph, "complete": complete_graph}
+
+
+def build_network(section: dict, m: int) -> Graph:
+    """The network section's graph on ``m`` nodes. A generated graph's
+    declared size is compared with ``m`` before generation starts."""
     _check_keys(section, ("kind", "m", "k", "p", "seed", "path"), "network")
-    kind = _require(section, "kind", "network")
-    if kind == "edge_list":
-        graph = read_edge_list(_require(section, "path", "network"))
-    elif kind in ("watts_strogatz", "path", "cycle", "complete"):
-        m = _integer(section, "m", "network")
-        try:
-            if kind == "watts_strogatz":
-                graph = watts_strogatz(
-                    m,
-                    _integer(section, "k", "network"),
-                    _real(section, "p", "network"),
-                    _integer(section, "seed", "network", 0, minimum=0),
-                )
-            else:
-                graph = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}[kind](m)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"network: {exc}") from exc
-    else:
-        raise ConfigError(
-            "network.kind must be watts_strogatz, edge_list, path, cycle "
-            f"or complete, got {kind!r}"
-        )
-    return graph, build_laplacian(graph, agent_dim=agent_dim)
+    kind = _typed(section, "kind", "network", choices=(*_GENERATORS, "edge_list"))
+    graph = read_edge_list(_typed(section, "path", "network")) if kind == "edge_list" else None
+    size = _integer(section, "m", "network") if graph is None else graph.m
+    if size != m:
+        raise ConfigError(f"network has {size} nodes but problem.m is {m}")
+    if graph is not None:
+        return graph
+    args = ()
+    if kind == "watts_strogatz":
+        args = (_integer(section, "k", "network"), _real(section, "p", "network"),
+                _integer(section, "seed", "network", 0, minimum=0))
+    try:
+        return _GENERATORS[kind](m, *args)
+    except ValueError as exc:
+        raise ConfigError(f"network: {exc}") from exc
 
 
 def build_run_config(section: dict, path: str = "run") -> RunConfig:
@@ -214,10 +230,11 @@ def build_run_config(section: dict, path: str = "run") -> RunConfig:
         sigma = _real(section, "noise_sigma", path)
         if sigma < 0:
             raise ConfigError(f"{path}.noise_sigma must be >= 0, got {sigma!r}")
-        variance = sigma**2
+        # sigma**2 raises OverflowError past 1.3e154; sigma * sigma is inf
+        variance = _finite(sigma * sigma, sigma, f"{path}.noise_sigma squared")
     try:
         return RunConfig(
-            algorithm=str(_require(section, "algorithm", path)).lower(),
+            algorithm=_typed(section, "algorithm", path).lower(),
             step_size=_real(section, "step_size", path),
             max_iters=_integer(section, "max_iters", path),
             noise_variance=variance,
@@ -249,7 +266,8 @@ def build_initial_point(section: dict, problem: ProblemInstance) -> np.ndarray:
     """Starting points: the uniform demand split, a tangent perturbation
     of it, or explicit values."""
     _check_keys(section, ("kind", "scale", "seed", "values"), "init")
-    kind = section.get("kind", "uniform_split")
+    kinds = ("uniform_split", "perturbed", "explicit")
+    kind = _typed(section, "kind", "init", default="uniform_split", choices=kinds)
     base = np.tile(problem.demand / problem.m, problem.m)
     if kind == "uniform_split":
         return base
@@ -259,17 +277,13 @@ def build_initial_point(section: dict, problem: ProblemInstance) -> np.ndarray:
             problem.m, problem.n, _real(section, "scale", "init", 1e-3), rng
         )
         return base + kick
-    if kind == "explicit":
-        values = _reals(section, "values", "init").reshape(-1)
-        expected = problem.m * problem.n
-        if values.shape != (expected,):
-            raise ConfigError(
-                f"init.values has length {values.shape[0]}, expected {expected}"
-            )
-        return values
-    raise ConfigError(
-        f"init.kind must be uniform_split, perturbed or explicit, got {kind!r}"
-    )
+    values = _reals(section, "values", "init").reshape(-1)
+    expected = problem.m * problem.n
+    if values.shape != (expected,):
+        raise ConfigError(
+            f"init.values has length {values.shape[0]}, expected {expected}"
+        )
+    return values
 
 
 @dataclass(frozen=True)
@@ -286,21 +300,15 @@ class Bundle:
 
 def load_bundle(path, require_run: bool = True) -> Bundle:
     raw = load_config(path)
-    if "problem" not in raw:
-        raise ConfigError("missing section problem")
-    if "network" not in raw:
-        raise ConfigError("missing section network")
-    problem = build_problem(raw["problem"])
-    graph, net = build_network(raw["network"], agent_dim=problem.n)
-    if graph.m != problem.m:
-        raise ConfigError(
-            f"network has {graph.m} nodes but problem.m is {problem.m}"
-        )
-    run_config = None
-    if "run" in raw:
-        run_config = build_run_config(raw["run"])
-    elif require_run:
-        raise ConfigError("missing section run")
+    for name in ("problem", "network", "run") if require_run else ("problem", "network"):
+        if name not in raw:
+            raise ConfigError(f"missing section {name}")
+    # the sizes agree before any graph is generated or parameter drawn
+    m = _integer(raw["problem"], "m", "problem", minimum=1)
+    graph = build_network(raw["network"], m)
+    problem = build_problem(raw["problem"], m)
+    net = build_laplacian(graph, agent_dim=problem.n)
+    run_config = build_run_config(raw["run"]) if "run" in raw else None
     theta_start = build_initial_point(raw.get("init", {}), problem)
     return Bundle(
         raw=raw,

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import ConfigError, _integer, build_run_config, config_to_dict
+from .config import ConfigError, _integer, _load_mapping, _typed, build_run_config, config_to_dict
 from .network import Graph, NetworkOperator, build_laplacian, tangent_perturbation, watts_strogatz
 from .objectives import FAMILIES, ProblemInstance, lipschitz_constants, stacked_value
 from .optimizer import Algorithm, RunConfig, Trace, curvature_tolerance, run_many
@@ -366,37 +366,25 @@ def export_traces(batch: BatchResult, out_dir) -> list:
     return written
 
 
-def _manifest_field(manifest, path: str, kind=object):
-    value = manifest
-    for key in path.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise ConfigError(f"missing field {path}")
-        value = value[key]
-    if not isinstance(value, kind):
-        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
 def replay_manifest(manifest_path, out_dir) -> BatchResult:
     """Rebuild the scenario named in a batch manifest, re-run its batch,
     and export to ``out_dir``; output files match the original byte for
     byte. A manifest of another kind or with a missing or invalid field
     raises ``ConfigError`` naming the manifest and the field."""
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = yaml.safe_load(handle)
+    manifest = _load_mapping(manifest_path)
     try:
-        kind = _manifest_field(manifest, "kind")
+        kind = _typed(manifest, "kind", "")
         if kind != "batch":
             raise ConfigError(f"kind {kind!r} is not a batch manifest")
-        name = _manifest_field(manifest, "scenario.name")
-        if name not in SCENARIO_BUILDERS:
-            raise ConfigError(f"unknown scenario {name!r}")
-        seed = _integer(manifest["scenario"], "seed", "scenario", minimum=0)
-        listed = dict(enumerate(_manifest_field(manifest, "seeds", list)))
+        scenario = _typed(manifest, "scenario", "", dict)
+        name = _typed(scenario, "name", "scenario", choices=SCENARIO_BUILDERS)
+        seed = _integer(scenario, "seed", "scenario", minimum=0)
+        listed = dict(enumerate(_typed(manifest, "seeds", "", list)))
         seeds = [_integer(listed, i, "seeds", minimum=0) for i in listed]
+        listed = _typed(manifest, "configs", "", dict)
         configs = {
-            label: build_run_config(values, path=f"configs.{label}")
-            for label, values in _manifest_field(manifest, "configs", dict).items()
+            label: build_run_config(_typed(listed, label, "configs", dict), path=f"configs.{label}")
+            for label in listed
         }
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from exc

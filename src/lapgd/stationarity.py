@@ -140,8 +140,9 @@ def tangent_min_curvature(theta: np.ndarray, problem: ProblemInstance):
     # row i * n + a is V_i[:, a], the direction of pole d_ia
     rows = np.swapaxes(vectors, -1, -2).reshape(runs, m * n, n)
     ordered = np.sort(poles, axis=-1)
-    # a run whose Hessian is not finite gets NaN: nothing is proven there
-    finite = np.isfinite(ordered).all(axis=1)
+    # a run whose Hessian or poles are not finite gets NaN: nothing is
+    # proven there (eigh of a NaN block may return finite poles)
+    finite = np.isfinite(ordered).all(axis=1) & np.isfinite(blocks).reshape(runs, -1).all(axis=1)
     lowest = np.where(finite, ordered[:, 0], np.nan)
     scale = np.maximum(-ordered[:, 0], ordered[:, -1])
     live = np.flatnonzero(finite & (ordered[:, n] - lowest > 4.0 * np.finfo(float).eps * scale))

@@ -276,6 +276,21 @@ def test_tangent_min_curvature_non_finite_hessian_is_nan():
     assert stacked[1] == tangent_min_curvature(points[1], problem)
 
 
+def test_tangent_min_curvature_nan_in_a_block_is_nan():
+    # at 2.5e299 the portfolio log term (1 - s^2) / (1 + s^2)^2 is inf / inf,
+    # a NaN on each 2 x 2 block's diagonal; eigh returns finite poles for
+    # such blocks, and the count of poles crossing zero used to index past
+    # the block (IndexError)
+    mu, cov, rw, lw = sample_portfolio_params(4, 2, np.random.default_rng(0))
+    problem = portfolio_problem(mu, cov, rw, lw, demand=np.ones(2))
+    points = np.stack([np.full(8, 2.5e299), np.tile([0.25, 0.25], 4)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        stacked = tangent_min_curvature(points, problem)
+        assert np.isnan(tangent_min_curvature(points[0], problem))
+    assert np.isnan(stacked[0])
+    assert stacked[1] == tangent_min_curvature(points[1], problem)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_tangent_min_curvature_rayleigh_oracle(seed):
     # sampled tangent Rayleigh quotients can only sit above the minimum

@@ -1,5 +1,6 @@
 """Mutation smoke for the certificate path, the run guards, the
-spectrum and the minimum estimate: each mutant must fail its tests.
+spectrum, the minimum estimate and the config readers: each mutant must
+fail its tests.
 
 Each mutant is a one-line edit of a file under ``src/`` and the test files
 that must catch it. For every mutant the script copies ``src/``, ``tests/``
@@ -207,6 +208,46 @@ MUTANTS = (
         "for _ in range(100):",
         "for _ in range(1):",
         ("tests/test_objectives.py",),
+    ),
+    Mutant(
+        "certifier trusts the poles of a NaN Hessian block",
+        "src/lapgd/stationarity.py",
+        " & np.isfinite(blocks).reshape(runs, -1).all(axis=1)",
+        "",
+        ("tests/test_stationarity.py",),
+    ),
+    # The script has no timeout, so each config mutant is killed by a test
+    # that fails at once. The family-as-list case is the first test in
+    # tests/test_fuzz_cli.py, and -x stops there, before a later case could
+    # open an integer path as a file descriptor; tests/test_config_cli.py
+    # holds no 10^300-node network, which an unchecked size would build.
+    Mutant(
+        "string reader takes any type",
+        "src/lapgd/config.py",
+        "if not isinstance(value, kind):",
+        "if False:",
+        ("tests/test_fuzz_cli.py",),
+    ),
+    Mutant(
+        "string reader takes any string",
+        "src/lapgd/config.py",
+        "if choices is not None and value not in choices:",
+        "if False:",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "network size is not compared with problem.m",
+        "src/lapgd/config.py",
+        "if size != m:",
+        "if False:",
+        ("tests/test_config_cli.py",),
+    ),
+    Mutant(
+        "noise_sigma squared with **",
+        "src/lapgd/config.py",
+        "variance = _finite(sigma * sigma, sigma, f\"{path}.noise_sigma squared\")",
+        "variance = sigma**2",
+        ("tests/test_fuzz_cli.py",),
     ),
 )
 

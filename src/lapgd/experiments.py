@@ -33,7 +33,14 @@ from .config import ConfigError, _integer, _load_mapping, _typed, build_run_conf
 from .network import Graph, NetworkOperator, build_laplacian, tangent_perturbation, watts_strogatz
 from .objectives import FAMILIES, ProblemInstance, lipschitz_constants, stacked_value
 from .optimizer import Algorithm, RunConfig, Trace, curvature_tolerance, run_many
-from .stationarity import StationarityReport, default_feas_tol, judge, measure, transfer_certificate
+from .stationarity import (
+    Measurement,
+    StationarityReport,
+    default_feas_tol,
+    judge,
+    measure,
+    transfer_certificate,
+)
 
 TRACE_HEADER = "iter,f_value,feas_residual,proj_grad_norm,tangent_curvature,dist_to_ref"
 
@@ -187,10 +194,8 @@ SCENARIO_BUILDERS = {
 def escape_iteration(trace: Trace, f_ref: float, delta: float) -> int | None:
     """First recorded iteration whose objective sits below f_ref - delta,
     None when the trace never does."""
-    for record in trace.records:
-        if record.f_value < f_ref - delta:
-            return record.iteration
-    return None
+    below = np.flatnonzero(trace.f_value < f_ref - delta)
+    return int(trace.iterations[below[0]]) if len(below) else None
 
 
 def final_report(
@@ -202,12 +207,14 @@ def final_report(
     # Self-consistent tolerances: the gradient tolerance is the measured
     # final projected gradient; the curvature tolerance follows from it
     # through the declared Hessian smoothness and the spectral gap.
-    last = trace.records[-1]
-    eps = last.proj_grad_norm
+    eps = float(trace.proj_grad_norm[-1])
     _, lip_hess = lipschitz_constants(problem)
     _, gamma = transfer_certificate(eps, curvature_tolerance(eps, net.lambda_max, lip_hess), net)
-    if last.tangent_curvature is None:
+    if trace.tangent_curvature is None:
         last = measure(trace.final_theta, problem, net)
+    else:
+        last = Measurement(*(float(column[-1]) for column in (
+            trace.feas_residual, trace.proj_grad_norm, trace.tangent_curvature)))
     return judge(last, eps, gamma, default_feas_tol(problem.demand))
 
 
@@ -289,6 +296,15 @@ def sweep_sigma(scenario: Scenario, sigmas, seeds) -> BatchResult:
 # export and replay
 
 
+def _label_error(label) -> str | None:
+    """Why a config label cannot name export files, None when it can: the
+    label goes into ``trace_{label}_seed{seed}.csv``, so a path separator
+    or NUL in it could name a file outside the export directory."""
+    if any(char in str(label) for char in "/\\\0"):
+        return f"label {str(label)!r} holds a path separator or NUL"
+    return None
+
+
 def _cell(value) -> str:
     """One exported field: floats by repr, so identical runs give
     byte-identical files; None as an empty field."""
@@ -300,10 +316,13 @@ def _cell(value) -> str:
 def write_trace_csv(trace: Trace, path) -> None:
     """Write one run's records as CSV under ``TRACE_HEADER``, floats by
     repr, so identical traces give byte-identical files."""
-    lines = [TRACE_HEADER]
-    for rec in trace.records:
-        values = (rec.f_value, rec.feas_residual, rec.proj_grad_norm, rec.tangent_curvature, rec.dist_to_ref)
-        lines.append(",".join(map(_cell, (rec.iteration, *values))))
+    columns = (trace.iterations, trace.f_value, trace.feas_residual,
+               trace.proj_grad_norm, trace.tangent_curvature, trace.dist_to_ref)
+    cells = [
+        [""] * len(trace.iterations) if column is None else list(map(_cell, column.tolist()))
+        for column in columns
+    ]
+    lines = [TRACE_HEADER, *map(",".join, zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -317,7 +336,7 @@ def summary_rows(batch: BatchResult) -> list:
             result.seed,
             result.label,
             result.escape_iteration,
-            result.trace.records[-1].f_value,
+            float(result.trace.f_value[-1]),
             report.feasibility_residual,
             report.projected_grad_norm,
             report.tangent_min_curvature,
@@ -333,8 +352,13 @@ def export_traces(batch: BatchResult, out_dir) -> list:
     """Write one CSV per run, a summary CSV, and a replay manifest.
 
     Floats are serialized with repr, so identical batches produce
-    byte-identical files. Returns the written paths.
+    byte-identical files. Returns the written paths. A run label holding
+    a path separator or NUL raises ValueError before anything is written.
     """
+    for result in batch.runs:
+        error = _label_error(result.label)
+        if error is not None:
+            raise ValueError(f"cannot export config {error}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -369,8 +393,9 @@ def export_traces(batch: BatchResult, out_dir) -> list:
 def replay_manifest(manifest_path, out_dir) -> BatchResult:
     """Rebuild the scenario named in a batch manifest, re-run its batch,
     and export to ``out_dir``; output files match the original byte for
-    byte. A manifest of another kind or with a missing or invalid field
-    raises ``ConfigError`` naming the manifest and the field."""
+    byte. A manifest of another kind or with a missing or invalid field,
+    a config label that could not name an export file among them, raises
+    ``ConfigError`` naming the manifest and the field before any run starts."""
     manifest = _load_mapping(manifest_path)
     try:
         kind = _typed(manifest, "kind", "")
@@ -382,6 +407,10 @@ def replay_manifest(manifest_path, out_dir) -> BatchResult:
         listed = dict(enumerate(_typed(manifest, "seeds", "", list)))
         seeds = [_integer(listed, i, "seeds", minimum=0) for i in listed]
         listed = _typed(manifest, "configs", "", dict)
+        for label in listed:
+            error = _label_error(label)
+            if error is not None:
+                raise ConfigError(f"configs.{label}: {error}")
         configs = {
             label: build_run_config(_typed(listed, label, "configs", dict), path=f"configs.{label}")
             for label in listed

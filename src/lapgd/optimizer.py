@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -45,6 +45,7 @@ from .objectives import (
 )
 from .stationarity import (
     Classification,
+    Measurement,
     default_feas_tol,
     feasibility_residual,
     judge,
@@ -176,6 +177,9 @@ class IterateState:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One recorded iterate as ``Trace.records`` lists it: the iteration
+    and the values there, None for a field the run does not record."""
+
     iteration: int
     f_value: float
     feas_residual: float
@@ -184,16 +188,55 @@ class TraceRecord:
     dist_to_ref: float | None = None
 
 
+# Trace's float columns: TraceRecord's fields after the iteration.
+_FLOAT_COLUMNS = tuple(field.name for field in fields(TraceRecord))[1:]
+
+
 @dataclass(frozen=True)
 class Trace:
-    """Recorded diagnostics plus the final iterate. Record iterations are
-    strictly increasing; the last record is the final iterate, except in
-    the partial trace of a run error, which stops past its last record."""
+    """Recorded diagnostics plus the final iterate, kept as columns: row k
+    of ``iterations`` (int64) and of the float64 columns ``f_value``,
+    ``feas_residual`` and ``proj_grad_norm`` is the k-th record.
+    ``tangent_curvature`` and ``dist_to_ref`` are columns too, or None
+    when the run does not record them (``record_curvature``, a
+    ``theta_ref``); a recorded NaN stays NaN. Each column is a read-only
+    1-d copy of what it is given, about 48 B a record in all, and
+    ``records`` builds the ``TraceRecord`` view of the rows on access.
 
-    records: tuple
+    Record iterations are strictly increasing; the last record is the final
+    iterate, except in the partial trace of a run error, which stops past
+    its last record."""
+
+    iterations: np.ndarray
+    f_value: np.ndarray
+    feas_residual: np.ndarray
+    proj_grad_norm: np.ndarray
     final_theta: np.ndarray
     iterations_run: int
+    tangent_curvature: np.ndarray | None = None
+    dist_to_ref: np.ndarray | None = None
     first_certified_iter: int | None = None
+
+    def __post_init__(self):
+        for name in ("iterations", *_FLOAT_COLUMNS):
+            value = getattr(self, name)
+            if value is None and name in ("tangent_curvature", "dist_to_ref"):
+                continue
+            column = np.array(value, dtype=np.int64 if name == "iterations" else float)
+            if column.shape != (len(self.iterations),):
+                raise ValueError(f"trace column {name} has shape {column.shape}, "
+                                 f"expected ({len(self.iterations)},)")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @property
+    def records(self) -> tuple:
+        """The rows as a tuple of ``TraceRecord``s, built on each access."""
+        columns = [self.iterations.tolist()]
+        for name in _FLOAT_COLUMNS:
+            column = getattr(self, name)
+            columns.append([None] * len(self.iterations) if column is None else column.tolist())
+        return tuple(TraceRecord(*row) for row in zip(*columns))
 
 
 def initial_state(theta_start: np.ndarray, with_aux: bool) -> IterateState:
@@ -443,6 +486,49 @@ class _Stack:
             self.kicks = None
 
 
+class _Columns:
+    """One live run's records: an int64 column of iterations and a (rows,
+    5) float block of the values in ``_FLOAT_COLUMNS`` order, both doubled
+    when full, so a row is written without objects. They are sized by the
+    rows recorded so far, never by the budget."""
+
+    def __init__(self, curvature: bool, dist: bool):
+        self.unrecorded = {name for name, kept in (("tangent_curvature", curvature),
+                                                   ("dist_to_ref", dist)) if not kept}
+        self.count = 0
+        self.iterations = np.empty(16, dtype=np.int64)
+        self.values = np.empty((16, len(_FLOAT_COLUMNS)))
+
+    def append(self, iteration: int, values: np.ndarray) -> None:
+        if self.count == len(self.iterations):
+            self.iterations = np.concatenate([self.iterations, np.empty_like(self.iterations)])
+            self.values = np.concatenate([self.values, np.empty_like(self.values)])
+        self.iterations[self.count] = iteration
+        self.values[self.count] = values
+        self.count += 1
+
+    def last(self) -> tuple:
+        """The last row: its iteration, f_value and proj_grad_norm."""
+        row = self.count - 1
+        f_value, _, proj_grad_norm = self.values[row, :3].tolist()
+        return int(self.iterations[row]), f_value, proj_grad_norm
+
+    def trace(self, final_theta, iterations_run: int, first_certified) -> Trace:
+        """The rows so far cut from the buffers, as a ``Trace``."""
+        rows = self.count
+        columns = {
+            name: None if name in self.unrecorded else self.values[:rows, j]
+            for j, name in enumerate(_FLOAT_COLUMNS)
+        }
+        return Trace(
+            iterations=self.iterations[:rows],
+            final_theta=final_theta,
+            iterations_run=iterations_run,
+            first_certified_iter=first_certified,
+            **columns,
+        )
+
+
 def run_many(
     problem: ProblemInstance,
     net: NetworkOperator,
@@ -457,7 +543,9 @@ def run_many(
     its own ``default_rng(seed)`` stream. A run records at the iterations
     that are multiples of its ``record_every`` and at its ``max_iters``;
     the stack steps up to the next record point of any live run, in
-    blocks of noise drawn for that span.
+    blocks of noise drawn for that span. Each record is written as one
+    row of its run's columns, and a leaving run's columns are cut to its
+    rows, so a run holds about 48 B per record whatever its budget.
 
     Starts are checked as in ``run``, and a bad one raises before any run
     starts. However a run leaves (budget, early exit, divergence, descent
@@ -485,34 +573,29 @@ def run_many(
         for c in configs
     ]
     feas_tol = default_feas_tol(problem.demand)
-    records = [[] for _ in configs]
+    columns = [_Columns(c.record_curvature, theta_ref is not None) for c in configs]
     first_certified = [None] * len(configs)
     results = [None] * len(configs)
 
     def record_due(due: np.ndarray) -> None:
         theta = stack.theta[due]
-        values = stacked_value(problem, theta)
-        feas = feasibility_residual(theta, problem.demand)
-        proj = projected_grad_norm(theta, problem, net)
-        dist = None if theta_ref is None else row_norms(theta - theta_ref)
         ids = stack.ids[due]
+        # one row per due run, in _FLOAT_COLUMNS order; NaN where unrecorded
+        table = np.full((len(ids), len(_FLOAT_COLUMNS)), np.nan)
+        table[:, 0] = stacked_value(problem, theta)
+        table[:, 1] = feasibility_residual(theta, problem.demand)
+        table[:, 2] = projected_grad_norm(theta, problem, net)
         wants = np.array([configs[i].record_curvature for i in ids])
-        curvature = iter(())
         if wants.any():
-            curvature = iter(tangent_min_curvature(theta[wants], problem))
+            table[wants, 3] = tangent_min_curvature(theta[wants], problem)
+        if theta_ref is not None:
+            table[:, 4] = row_norms(theta - theta_ref)
         for pos, i in enumerate(ids):
             config = configs[i]
-            record = TraceRecord(
-                iteration=t,
-                f_value=float(values[pos]),
-                feas_residual=float(feas[pos]),
-                proj_grad_norm=float(proj[pos]),
-                tangent_curvature=float(next(curvature)) if wants[pos] else None,
-                dist_to_ref=None if dist is None else float(dist[pos]),
-            )
-            records[i].append(record)
+            columns[i].append(t, table[pos])
             if first_certified[i] is None and config.stop_eps is not None:
-                report = judge(record, config.stop_eps, config.stop_gamma, feas_tol)
+                measured = Measurement(*table[pos, 1:4].tolist())
+                report = judge(measured, config.stop_eps, config.stop_gamma, feas_tol)
                 if report.classification is Classification.SECOND_ORDER:
                     first_certified[i] = t
 
@@ -524,7 +607,8 @@ def run_many(
             return
         for pos in np.flatnonzero(mask):
             i = stack.ids[pos]
-            trace = Trace(tuple(records[i]), stack.theta[pos].copy(), t, first_certified[i])
+            trace = columns[i].trace(stack.theta[pos].copy(), t, first_certified[i])
+            columns[i] = None
             results[i] = trace if error is None else error(pos, trace)
         stack.keep(~mask)
 
@@ -557,7 +641,7 @@ def run_many(
     def check_descent() -> None:
         """Check the monitored runs whose last record is one step old."""
         rows = np.array(
-            [slopes[i] is not None and records[i][-1].iteration == t - 1 for i in stack.ids]
+            [slopes[i] is not None and columns[i].last()[0] == t - 1 for i in stack.ids]
         )
         if not rows.any():
             return
@@ -565,42 +649,45 @@ def run_many(
         after = stacked_value(problem, stack.theta[rows])
         for value, pos in zip(after, np.flatnonzero(rows)):
             i = stack.ids[pos]
-            last = records[i][-1]
-            bound[pos] = slopes[i] * (configs[i].step_size * last.proj_grad_norm) ** 2
-            drop[pos] = float(value) - last.f_value
+            _, f_value, proj_grad_norm = columns[i].last()
+            bound[pos] = slopes[i] * (configs[i].step_size * proj_grad_norm) ** 2
+            drop[pos] = float(value) - f_value
         retire(
             drop > bound + 1e-9,
             lambda pos, trace: DescentViolationError(t - 1, drop[pos], bound[pos], trace),
         )
 
-    t = 0
-    while len(stack.ids):
-        due = ((t % strides == 0) | (t == budgets))[stack.ids]
-        if due.any():
-            record_due(due)
-        done = [
-            t == configs[i].max_iters or (configs[i].early_exit and first_certified[i] == t)
-            for i in stack.ids
-        ]
-        retire(np.array(done))
-        if not len(stack.ids):
-            break
-        span = int(np.minimum((t // strides + 1) * strides, budgets)[stack.ids].min()) - t
-        chunk_start = chunk_end = 0
-        for offset in range(span):
+    # Overflow and invalid values past the divergence guard's bound are
+    # judged by that guard, which turns them into DivergenceError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = 0
+        while len(stack.ids):
+            due = ((t % strides == 0) | (t == budgets))[stack.ids]
+            if due.any():
+                record_due(due)
+            done = [
+                t == configs[i].max_iters or (configs[i].early_exit and first_certified[i] == t)
+                for i in stack.ids
+            ]
+            retire(np.array(done))
             if not len(stack.ids):
                 break
-            if offset == chunk_end:
-                chunk_start, chunk_end = offset, offset + draw_noise(span - offset)
-            kick = None if stack.kicks is None else stack.kicks[:, offset - chunk_start]
-            stack.theta = _advance(problem, net, stack.theta, stack.step, kick, stack.noisy)
-            t += 1
-            check_divergence()
-            if offset == 0:
-                check_descent()
-        # The span's kicks are used up; free them now rather than when
-        # the next span draws its own.
-        stack.kicks = kick = None
+            span = int(np.minimum((t // strides + 1) * strides, budgets)[stack.ids].min()) - t
+            chunk_start = chunk_end = 0
+            for offset in range(span):
+                if not len(stack.ids):
+                    break
+                if offset == chunk_end:
+                    chunk_start, chunk_end = offset, offset + draw_noise(span - offset)
+                kick = None if stack.kicks is None else stack.kicks[:, offset - chunk_start]
+                stack.theta = _advance(problem, net, stack.theta, stack.step, kick, stack.noisy)
+                t += 1
+                check_divergence()
+                if offset == 0:
+                    check_descent()
+            # The span's kicks are used up; free them now rather than when
+            # the next span draws its own.
+            stack.kicks = kick = None
     return results
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from lapgd import experiments
 from lapgd.config import ConfigError, build_run_config
 from lapgd.experiments import (
     SUMMARY_FIELDS,
@@ -26,7 +27,7 @@ from lapgd.experiments import (
 )
 from lapgd.network import block_sum, is_connected
 from lapgd.objectives import lipschitz_constants, stacked_value
-from lapgd.optimizer import Algorithm, RunConfig, Trace, TraceRecord, curvature_tolerance, run
+from lapgd.optimizer import Algorithm, RunConfig, Trace, curvature_tolerance, run
 from lapgd.stationarity import Classification, classify, default_feas_tol, transfer_certificate
 
 
@@ -165,19 +166,14 @@ def test_start_for_seed_deterministic_and_feasible():
 
 
 def _synthetic_trace(f_values, stride=100):
-    records = tuple(
-        TraceRecord(
-            iteration=i * stride,
-            f_value=f,
-            feas_residual=0.0,
-            proj_grad_norm=1.0,
-        )
-        for i, f in enumerate(f_values)
-    )
+    rows = len(f_values)
     return Trace(
-        records=records,
+        iterations=np.arange(rows) * stride,
+        f_value=f_values,
+        feas_residual=np.zeros(rows),
+        proj_grad_norm=np.ones(rows),
         final_theta=np.zeros(2),
-        iterations_run=(len(f_values) - 1) * stride,
+        iterations_run=(rows - 1) * stride,
     )
 
 
@@ -499,3 +495,36 @@ def test_replay_accepts_integral_float_seeds(tmp_path):
     assert (batch.scenario_seed, batch.seeds) == (0, (0,))
     for name in ("summary.csv", "trace_lgd_seed0.csv", "trace_nlgd_seed0.csv"):
         assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "replay" / name).read_bytes()
+
+
+@pytest.mark.parametrize("label", ["../escaped", "x/../../y"])
+def test_replay_refuses_a_label_that_names_a_path_before_any_run(tmp_path, monkeypatch, label):
+    path = edited_manifest(tmp_path, lambda config: None)
+    manifest = yaml.safe_load(path.read_text())
+    manifest["configs"][label] = manifest["configs"].pop("nlgd")
+    path.write_text(yaml.safe_dump(manifest, sort_keys=False))
+    # with trace_x there, trace_x/../../y_seed0.csv would resolve beside replay/
+    (tmp_path / "replay" / "trace_x").mkdir(parents=True)
+    before = set(tmp_path.rglob("*"))
+
+    def no_batch(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "run_batch", no_batch)
+    with pytest.raises(ConfigError) as err:
+        replay_manifest(path, tmp_path / "replay")
+    assert str(err.value) == f"{path}: configs.{label}: label {label!r} holds a path separator or NUL"
+    assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("label", ["../escaped", "x/../../y", "x\\..\\..\\y", "nul\0"])
+def test_export_refuses_a_label_that_names_a_path(tmp_path, label):
+    sc = truncated(build_smart_grid_scenario(0), max_iters=100)
+    batch = run_batch(sc, [0], {"lgd": sc.configs["lgd"]})
+    batch = replace(batch, runs=tuple(replace(run, label=label) for run in batch.runs))
+    out = tmp_path / "out"
+    (out / "trace_x").mkdir(parents=True)
+    before = set(tmp_path.rglob("*"))
+    with pytest.raises(ValueError, match="path separator or NUL"):
+        export_traces(batch, out)
+    assert set(tmp_path.rglob("*")) == before

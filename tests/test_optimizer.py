@@ -1,11 +1,14 @@
 """Update rules, run loop behavior, and parameter calculators."""
 
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lapgd import optimizer
 from lapgd.network import (
     apply_lifted,
     block_sum,
@@ -27,6 +30,7 @@ from lapgd.optimizer import (
     InfeasibleStartError,
     RunConfig,
     Trace,
+    TraceRecord,
     aux_gd_step,
     aux_ngd_step,
     curvature_tolerance,
@@ -39,7 +43,7 @@ from lapgd.optimizer import (
     theoretical_step_bound,
     variance_for_tolerance,
 )
-from lapgd.stationarity import projected_grad_norm
+from lapgd.stationarity import Classification, default_feas_tol, judge, projected_grad_norm
 
 
 def two_agent_quadratic():
@@ -335,6 +339,77 @@ def test_record_optional_fields():
     assert rich.records[0].dist_to_ref == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
+def smart_grid_run_setup():
+    rng = np.random.default_rng(5)
+    a, b = sample_smart_grid_params(5, rng)
+    problem = smart_grid_problem(a, b, demand=0.5)
+    start = np.full(5, 0.1) + np.array([0.2, -0.1, 0.0, 0.05, -0.15])
+    return problem, build_laplacian(cycle_graph(5)), start
+
+
+@pytest.mark.parametrize("curvature", [False, True])
+@pytest.mark.parametrize("with_ref", [False, True])
+def test_trace_records_read_the_columns(curvature, with_ref):
+    problem, net, start = smart_grid_run_setup()
+    config = RunConfig(Algorithm.NLGD, 0.05, 40, noise_variance=1e-3, seed=2,
+                       record_every=3, record_curvature=curvature)
+    trace = run(problem, net, start, config, theta_ref=np.full(5, 0.1) if with_ref else None)
+    columns = {
+        "iteration": trace.iterations, "f_value": trace.f_value,
+        "feas_residual": trace.feas_residual, "proj_grad_norm": trace.proj_grad_norm,
+        "tangent_curvature": trace.tangent_curvature, "dist_to_ref": trace.dist_to_ref,
+    }
+    assert (columns["tangent_curvature"] is None) is not curvature
+    assert (columns["dist_to_ref"] is None) is not with_ref
+    assert trace.iterations.tolist() == [*range(0, 40, 3), 40]
+    records = trace.records
+    assert all(isinstance(record, TraceRecord) for record in records)
+    for name, column in columns.items():
+        got = [getattr(record, name) for record in records]
+        if column is None:
+            assert got == [None] * len(records)
+            continue
+        assert column.dtype == (np.int64 if name == "iteration" else np.float64)
+        assert got == column.tolist()
+        assert all(type(value) is (int if name == "iteration" else float) for value in got)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+
+
+def test_recorded_nan_curvature_stays_nan(monkeypatch):
+    problem, net, start = smart_grid_run_setup()
+    monkeypatch.setattr(
+        optimizer, "tangent_min_curvature", lambda theta, problem: np.full(len(theta), np.nan)
+    )
+    trace = run(problem, net, start, RunConfig(Algorithm.LGD, 0.05, 6, record_curvature=True))
+    assert np.isnan(trace.tangent_curvature).all() and len(trace.tangent_curvature) == 7
+    assert all(math.isnan(record.tangent_curvature) for record in trace.records)
+    assert trace.dist_to_ref is None
+
+
+def test_overflowing_step_diverges_without_a_warning():
+    problem, net = two_agent_quadratic()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            run(problem, net, np.array([1.0, 0.0]), RunConfig(Algorithm.LGD, 1e300, 10))
+    assert err.value.iteration == 1
+
+
+def test_early_exit_under_a_budget_of_1e15_steps():
+    # nothing is sized from max_iters: the run starts and stops at its
+    # first certified record
+    problem, net = two_agent_quadratic()
+    cfg = RunConfig(Algorithm.LGD, 0.1, 10**15, record_curvature=True,
+                    stop_eps=1e-3, stop_gamma=1.0, early_exit=True)
+    trace = run(problem, net, np.array([1.0, 0.0]), cfg)
+    feas_tol = default_feas_tol(problem.demand)
+    verdicts = [judge(r, 1e-3, 1.0, feas_tol).classification for r in trace.records]
+    assert verdicts[-1] is Classification.SECOND_ORDER
+    assert Classification.SECOND_ORDER not in verdicts[:-1]
+    assert trace.iterations_run == trace.first_certified_iter == trace.records[-1].iteration
+
+
 def test_early_exit_on_certificate():
     problem, net = two_agent_quadratic()
     cfg = RunConfig(
@@ -621,3 +696,23 @@ def test_iteration_budget_refuses_bad_arguments(name, bad):
     args = {"psi_start": 1.0, "min_sum": 0.0, "lip_grad_aux": 1.0, "grad_tol": 0.1, "step_size": 0.1}
     with pytest.raises(ValueError, match=name):
         iteration_budget(**{**args, name: bad})
+
+
+# Last in the file: under tracemalloc the run takes seconds, which tests
+# that stop at an earlier failure do not pay.
+def test_trace_holds_under_100_bytes_per_record():
+    # a record is one row of int64 and float64 columns, 40 B with a
+    # reference: objects per record would take a few hundred bytes
+    problem, net = two_agent_quadratic()
+    start, ref = np.array([1.0, 0.0]), np.array([0.5, 0.5])
+    config = RunConfig(Algorithm.LGD, 0.1, 19_999)
+    run(problem, net, start, replace(config, max_iters=10), theta_ref=ref)  # warm caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run(problem, net, start, config, theta_ref=ref)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) == 20_000
+    assert held / 20_000 <= 100
